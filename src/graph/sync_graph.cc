@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "vv/frame_codec.h"
+
 namespace optrep::graph {
 
 std::string GraphMsg::to_string() const {
@@ -43,26 +45,13 @@ std::uint64_t graph_msg_wire_bytes(const GraphMsg& m) {
 
 namespace {
 
-std::uint32_t varint_len(std::uint64_t v) {
-  std::uint32_t len = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++len;
-  }
-  return len;
-}
-
-std::uint64_t zigzag(std::int64_t n) {
-  return (static_cast<std::uint64_t>(n) << 1) ^ static_cast<std::uint64_t>(n >> 63);
-}
-
 // Varint-delta cost of one id against the running chain; advances the chain.
 std::uint64_t id_delta_bytes(UpdateId& prev, UpdateId id) {
-  const std::uint64_t site_zz = zigzag(static_cast<std::int64_t>(id.site.value) -
-                                       static_cast<std::int64_t>(prev.site.value));
-  const std::uint64_t seq_zz = zigzag(static_cast<std::int64_t>(id.seq - prev.seq));
+  const std::uint64_t site_zz = vv::zigzag(static_cast<std::int64_t>(id.site.value) -
+                                           static_cast<std::int64_t>(prev.site.value));
+  const std::uint64_t seq_zz = vv::zigzag(static_cast<std::int64_t>(id.seq - prev.seq));
   prev = id;
-  return varint_len(site_zz) + varint_len(seq_zz);
+  return vv::varint_len(site_zz) + vv::varint_len(seq_zz);
 }
 
 // Framed size of one message; `prev` is the cross-message delta base (the id

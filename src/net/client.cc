@@ -4,12 +4,13 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/check.h"
-#include "net/session_util.h"
-#include "vv/protocol/compare_core.h"
+#include "net/session_engine.h"
 
 namespace optrep::net {
 
@@ -37,41 +38,34 @@ bool SyncClient::connect(std::string* err) {
   return true;
 }
 
-// Per-session state machine. Every method returning bool reports false when
-// the session is over early (fault kill or fatal error) — the caller unwinds
-// straight out of the pump.
-struct SyncClient::Engine {
+// One session's I/O shell around the engine. The gate runs the fault plan;
+// the commit point replaces *spec.mine. Methods returning bool report false
+// when the session is over early (fault kill or fatal error) — the caller
+// unwinds straight out of the loop.
+struct SyncClient::Session final : SessionEngine::Host {
   SyncClient& cl;
   const SessionSpec& spec;
   SessionResult res;
+  SessionEngine engine{this};
+  bool accepted{false};
 
-  std::vector<std::uint8_t> out;
-  std::size_t out_pos{0};
-  vv::FrameDeltaState out_chain{};
-  vv::RotatingVector work;  // session-private clone of *spec.mine
+  Session(SyncClient& c, const SessionSpec& s) : cl(c), spec(s) {}
 
-  std::optional<vv::protocol::CompareCore> cmp;
-  bool probe_seen{false};
-  std::optional<vv::protocol::ElementSenderCore> snd;
-  std::optional<AnyReceiver> rx;
-  vv::protocol::Actions acts;
-  bool pump_pending{false};
-  bool initially_concurrent{false};
+  bool over() const {
+    return res.accept != AcceptStatus::kOk || (accepted && !engine.active());
+  }
 
-  enum class St : std::uint8_t {
-    kAwaitAccept,
-    kCompare,
-    kRecv,      // pull transfer: we receive elements
-    kSend,      // push transfer: we send elements
-    kAwaitEnd,  // pull with nothing to transfer: await the server's END
-    kAwaitDone, // our END sent: await the server's DONE
-  };
-  St st{St::kAwaitAccept};
-  bool session_over{false};  // protocol done; drain `out`, then return
-
-  Engine(SyncClient& c, const SessionSpec& s) : cl(c), spec(s) {}
-
-  std::size_t out_size() const { return out.size() - out_pos; }
+  // Write up to `len` pending bytes. False on a hard socket error.
+  bool write_some(std::size_t len) {
+    const ssize_t n =
+        ::write(cl.fd_.get(), engine.out_data(), std::min(len, engine.out_size()));
+    if (n > 0) {
+      engine.consume(static_cast<std::size_t>(n));
+      res.bytes_tx += static_cast<std::uint64_t>(n);
+      return true;
+    }
+    return n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK);
+  }
 
   // Best-effort synchronous drain of the write buffer (bounded by the
   // session deadline's order of magnitude). The fault gate uses it so that
@@ -79,93 +73,38 @@ struct SyncClient::Engine {
   // server must observe a *mid-session* disconnect, not an empty one.
   void flush_pending() {
     const auto give_up = Clock::now() + std::chrono::seconds(2);
-    while (out_size() > 0 && cl.fd_.valid() && Clock::now() < give_up) {
+    while (engine.out_size() > 0 && cl.fd_.valid() && Clock::now() < give_up) {
       struct pollfd p {};
       p.fd = cl.fd_.get();
       p.events = POLLOUT;
-      if (::poll(&p, 1, 100) <= 0) continue;
-      const ssize_t n = ::write(cl.fd_.get(), out.data() + out_pos, out_size());
-      if (n > 0) {
-        out_pos += static_cast<std::size_t>(n);
-        res.bytes_tx += static_cast<std::uint64_t>(n);
-      } else if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
-        break;
-      }
-    }
-    if (out_pos == out.size()) {
-      out.clear();
-      out_pos = 0;
+      if (::poll(&p, 1, 100) > 0 && !write_some(engine.out_size())) break;
     }
   }
 
-  // The fault gate every outgoing record passes through, numbering from
-  // HELLO = 1. Records 1..4 exist in every session shape (HELLO, probe,
-  // verdict, then END / DONE / first transfer record), so kill/stall points
-  // in that range fire independently of server state — the load generator
-  // relies on this for reproducible summaries.
-  bool fault_gate() {
+  // Records 1..4 exist in every session shape (HELLO, probe, verdict, then
+  // END / DONE / first transfer record), so kill/stall points in that range
+  // fire independently of server state — the load generator relies on this
+  // for reproducible summaries.
+  bool gate() override {
     ++res.records_out;
-    if (spec.fault.kind == FaultPlan::Kind::kKill &&
-        res.records_out == spec.fault.before_record) {
-      res.killed = true;
-      flush_pending();  // the wire carries every record before the cut
-      cl.fd_.reset();   // abrupt disconnect: the partial session must be a no-op
-      return false;
+    if (spec.fault.kind == FaultPlan::Kind::kNone ||
+        res.records_out != spec.fault.before_record) {
+      return true;
     }
-    if (spec.fault.kind == FaultPlan::Kind::kStall &&
-        res.records_out == spec.fault.before_record) {
-      res.stalled = true;
-      flush_pending();  // the server sees a genuinely slow client, not a batch
+    flush_pending();  // the wire carries every record before the cut or stall
+    if (spec.fault.kind == FaultPlan::Kind::kStall) {
+      res.stalled = true;  // the server sees a genuinely slow client, not a batch
       std::this_thread::sleep_for(std::chrono::milliseconds(spec.fault.stall_ms));
+      return true;
     }
-    return true;
+    res.killed = true;
+    cl.fd_.reset();  // abrupt disconnect: the partial session must be a no-op
+    return false;
   }
 
-  template <typename Fn>
-  bool ctl(Fn&& encode) {
-    if (!fault_gate()) return false;
-    encode();
-    return true;
-  }
-
-  bool apply_actions() {
-    using A = vv::protocol::Action::Type;
-    for (const auto& a : acts) {
-      switch (a.type) {
-        case A::kSend:
-        case A::kSendRevocable:
-          if (!fault_gate()) return false;
-          vv::frame_encode_msg(out, a.msg, &out_chain);
-          break;
-        case A::kPumpWhenFree:
-          pump_pending = true;
-          break;
-        case A::kFinished:
-        default:
-          break;  // no transport effect (see net::ActionSink)
-      }
-    }
-    return true;
-  }
-
-  bool step_sender(const vv::protocol::Event& ev) {
-    acts.clear();
-    snd->step(ev, acts);
-    if (!apply_actions()) return false;
-    if (snd->done()) {
-      pump_pending = false;
-      if (!ctl([&] { put_end(out); })) return false;
-      st = St::kAwaitDone;
-    }
-    return true;
-  }
-
-  bool pump_sender() {
-    while (pump_pending && snd && !snd->done() && out_size() < cl.opt_.write_watermark) {
-      pump_pending = false;
-      if (!step_sender(vv::protocol::Event::link_free())) return false;
-    }
-    return true;
+  DoneStatus commit(vv::RotatingVector& work) override {
+    *spec.mine = work;
+    return DoneStatus::kCommitted;
   }
 
   bool fatal(const char* what) {
@@ -174,208 +113,108 @@ struct SyncClient::Engine {
     return false;
   }
 
-  bool compare_done() {
-    const vv::Ordering rel = cmp->decide();  // our vector vs the server's
-    res.relation = rel;
-    const vv::VectorKind vk = vector_kind_of(spec.kind);
-    if (spec.kind == SessionKind::kCompare) {
-      if (!ctl([&] { put_end(out); })) return false;
-      st = St::kAwaitDone;
-      return true;
-    }
-    if (!spec.pull) {
-      // Push: the server receives, so its relation (the flip of ours) is the
-      // receiver relation that gates the transfer.
-      if (transfer_needed(vv::flip(rel), vk)) {
-        res.transfer = true;
-        snd.emplace(sender_config(vk, spec.stop_and_wait, cl.opt_.burst), &work);
-        st = St::kSend;
-        return step_sender(vv::protocol::Event::start());
-      }
-      if (!ctl([&] { put_end(out); })) return false;
-      st = St::kAwaitDone;
-      return true;
-    }
-    // Pull: we receive; our own relation is the receiver relation.
-    if (transfer_needed(rel, vk)) {
-      res.transfer = true;
-      initially_concurrent = rel == vv::Ordering::kConcurrent;
-      rx.emplace(vk, spec.stop_and_wait, &work, initially_concurrent);
-      acts.clear();
-      rx->step(vv::protocol::Event::start(), acts);
-      if (!apply_actions()) return false;
-      st = St::kRecv;
-    } else {
-      st = St::kAwaitEnd;
-    }
-    return true;
-  }
-
-  bool on_msg(const vv::VvMsg& m) {
-    switch (st) {
-      case St::kCompare: {
-        acts.clear();
-        cmp->step(vv::protocol::Event::msg_arrival(m), acts);
-        if (!apply_actions()) return false;  // the verdict answering their probe
-        if (m.kind == vv::VvMsg::Kind::kProbe) probe_seen = true;
-        if (probe_seen && cmp->complete()) return compare_done();
-        return true;
-      }
-      case St::kRecv: {
-        acts.clear();
-        rx->step(vv::protocol::Event::msg_arrival(m), acts);
-        return apply_actions();  // stop-and-wait ACKs / SYNCS SKIPs
-      }
-      case St::kSend:
-        return step_sender(vv::protocol::Event::msg_arrival(m));
-      default:
-        return true;  // stray message: tolerated
-    }
-  }
-
-  bool on_end() {
-    switch (st) {
-      case St::kRecv: {
-        // Gate the DONE record before committing: a kill here must leave
-        // *spec.mine untouched (the session is a local no-op).
-        if (!ctl([&] { put_done(out, DoneStatus::kCommitted); })) return false;
-        if (initially_concurrent) work.record_update(spec.own_site);
-        *spec.mine = work;
-        res.done = DoneStatus::kCommitted;
-        session_over = true;
-        return true;
-      }
-      case St::kAwaitEnd:
-        if (!ctl([&] { put_done(out, DoneStatus::kNoop); })) return false;
-        res.done = DoneStatus::kNoop;
-        session_over = true;
-        return true;
-      default:
-        return fatal("unexpected END");
-    }
-  }
-
   bool process_items() {
-    using IT = StreamDecoder::ItemType;
     for (;;) {
       const StreamDecoder::Item item = cl.in_.next();
       switch (item.type) {
-        case IT::kNeedMore:
+        case StreamDecoder::ItemType::kNeedMore:
           return true;
-        case IT::kError:
+        case StreamDecoder::ItemType::kError:
           return fatal("stream decode error");
-        case IT::kAccept:
-          if (st != St::kAwaitAccept) return fatal("unexpected ACCEPT");
+        case StreamDecoder::ItemType::kAccept:
+          if (accepted) return fatal("unexpected ACCEPT");
+          accepted = true;
           res.accept = static_cast<AcceptStatus>(item.status);
-          if (res.accept != AcceptStatus::kOk) {
-            session_over = true;  // server flushes the status and closes
-            return true;
-          }
-          st = St::kCompare;
+          break;  // a rejection ends the session: the server flushes it and closes
+        default:
+          if (!accepted) return fatal("record before ACCEPT");
+          if (!engine.on_item(item)) return res.killed ? false : fatal(engine.breach());
           break;
-        case IT::kMsg:
-          if (!on_msg(item.msg)) return false;
-          break;
-        case IT::kEnd:
-          if (!on_end()) return false;
-          break;
-        case IT::kDone:
-          if (st != St::kAwaitDone) return fatal("unexpected DONE");
-          res.done = static_cast<DoneStatus>(item.status);
-          session_over = true;
-          return true;
-        case IT::kHello:
-        case IT::kMagic:
-          return fatal("unexpected control record");
       }
+      if (over()) return true;
     }
+  }
+
+  SessionResult result() {
+    res.relation = engine.relation();
+    res.transfer = engine.transfer();
+    res.done = engine.done();
+    res.elems_sent = engine.elems_sent();
+    res.elems_applied = engine.elems_applied();
+    return res;
   }
 };
 
 SyncClient::SessionResult SyncClient::run_session(const SessionSpec& spec) {
   OPTREP_CHECK_MSG(spec.mine != nullptr, "run_session needs the client vector");
-  Engine e(*this, spec);
+  Session s(*this, spec);
   if (!fd_.valid()) {
-    e.res.error = "not connected";
-    return e.res;
+    s.res.error = "not connected";
+    return s.res;
   }
-  e.work = *spec.mine;
+  s.engine.work() = *spec.mine;
 
   // HELLO and our COMPARE probe leave in one batch.
   const std::uint8_t flags =
       static_cast<std::uint8_t>((spec.pull ? kHelloFlagPull : 0) |
                                 (spec.stop_and_wait ? kHelloFlagStopAndWait : 0));
-  e.out_chain = {};
-  if (!e.ctl([&] { put_hello(e.out, spec.kind, flags, spec.replica); })) return e.res;
-  e.cmp.emplace(&e.work);
-  e.acts.clear();
-  e.cmp->step(vv::protocol::Event::start(), e.acts);
-  if (!e.apply_actions()) return e.res;
+  if (!s.gate()) return s.result();
+  put_hello(s.engine.out(), spec.kind, flags, spec.replica);
+  const bool data_sender = spec.kind == SessionKind::kCompare || !spec.pull;
+  if (!s.engine.begin(spec.kind, data_sender, spec.stop_and_wait, spec.own_site)) {
+    return s.result();
+  }
 
   const auto deadline = Clock::now() + std::chrono::milliseconds(opt_.timeout_ms);
   const std::size_t chunk = opt_.io_chunk == 0 ? 1 : opt_.io_chunk;
   std::vector<std::uint8_t> rbuf(std::min<std::size_t>(chunk, 65536));
 
-  while (!(e.session_over && e.out_size() == 0)) {
-    if (!e.session_over && e.st == Engine::St::kSend && !e.pump_sender()) return e.res;
+  while (!(s.over() && s.engine.out_size() == 0)) {
+    if (!s.engine.pump()) return s.result();
 
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - Clock::now());
     if (left.count() <= 0) {
-      e.fatal("session timeout");
-      return e.res;
+      s.fatal("session timeout");
+      return s.result();
     }
     struct pollfd p {};
     p.fd = fd_.get();
-    p.events = static_cast<short>(POLLIN | (e.out_size() > 0 ? POLLOUT : 0));
+    p.events = static_cast<short>(POLLIN | (s.engine.out_size() > 0 ? POLLOUT : 0));
     const int rc = ::poll(&p, 1, static_cast<int>(left.count()));
     if (rc < 0) {
       if (errno == EINTR) continue;
-      e.fatal("poll failed");
-      return e.res;
+      s.fatal("poll failed");
+      return s.result();
     }
     if (rc == 0) continue;  // re-check the deadline
 
-    if ((p.revents & POLLOUT) != 0 && e.out_size() > 0) {
-      const std::size_t len = std::min(chunk, e.out_size());
-      const ssize_t n = ::write(fd_.get(), e.out.data() + e.out_pos, len);
-      if (n > 0) {
-        e.out_pos += static_cast<std::size_t>(n);
-        e.res.bytes_tx += static_cast<std::uint64_t>(n);
-        if (e.out_pos == e.out.size()) {
-          e.out.clear();
-          e.out_pos = 0;
-        }
-      } else if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
-        e.fatal("write failed");
-        return e.res;
-      }
+    if ((p.revents & POLLOUT) != 0 && s.engine.out_size() > 0 && !s.write_some(chunk)) {
+      s.fatal("write failed");
+      return s.result();
     }
     if ((p.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
       const ssize_t n = ::read(fd_.get(), rbuf.data(), rbuf.size());
       if (n > 0) {
-        e.res.bytes_rx += static_cast<std::uint64_t>(n);
+        s.res.bytes_rx += static_cast<std::uint64_t>(n);
         in_.append(rbuf.data(), static_cast<std::size_t>(n));
-        if (!e.process_items()) return e.res;
+        if (!s.process_items()) return s.result();
       } else if (n == 0) {
-        if (e.session_over) break;  // e.g. the bad-ACCEPT close
-        e.fatal("server closed connection");
-        return e.res;
+        if (s.over()) break;  // e.g. the bad-ACCEPT close
+        s.fatal("server closed connection");
+        return s.result();
       } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
-        e.fatal("read failed");
-        return e.res;
+        s.fatal("read failed");
+        return s.result();
       }
     }
   }
 
-  if (e.res.accept != AcceptStatus::kOk) {
+  if (s.res.accept != AcceptStatus::kOk) {
     fd_.reset();  // the server is closing this connection
   }
-  e.res.ok = e.session_over && !e.res.killed && e.res.error.empty() &&
-             e.res.accept == AcceptStatus::kOk;
-  if (e.snd) e.res.elems_sent = e.snd->elems_sent();
-  if (e.rx) e.res.elems_applied = e.rx->counters().applied;
-  return e.res;
+  s.res.ok = s.res.accept == AcceptStatus::kOk;
+  return s.result();
 }
 
 }  // namespace optrep::net

@@ -1,29 +1,27 @@
 // Synchronous sync-protocol client: one TCP connection driving sequential
 // sessions against an optrep_serve instance.
 //
-// The session engine is the mirror image of the server's (wire_stream.h):
-// HELLO and the COMPARE probe leave in one batch (saving an RTT), the COMPARE
-// verdicts pick the relation, and the same protocol cores run the element
-// transfer — the client is the data sender on a push and the data receiver
-// on a pull. I/O is a poll()-duplex non-blocking pump, so a pipelined pull
-// can never write-write deadlock against the server, and `Options::io_chunk`
+// The session itself is net::SessionEngine (session_engine.h), the same
+// engine the server runs; the client is the data sender on a push or
+// COMPARE session and the data receiver on a pull. What this class adds is
+// the I/O shell: HELLO and the COMPARE probe leave in one batch (saving an
+// RTT), and a poll()-duplex non-blocking loop moves the bytes, so a pipelined
+// pull can never write-write deadlock against the server. `Options::io_chunk`
 // caps every read/write syscall (io_chunk = 1 feeds the server one byte at a
 // time, exercising the codec's kTruncated resume on every boundary).
 //
-// Fault injection is record-granular: outgoing records are numbered from
-// HELLO = 1 (probe = 2, verdict = 3, then transfer records), and a FaultPlan
-// either kills the connection immediately before record k or stalls that
-// record by a fixed delay. Kill points and record numbers are functions of
-// the caller's RNG only, which is what makes a load run's summary
-// reproducible. A killed pull commits nothing locally — like the server, the
-// client receives into a session-private clone and copies it back only at a
-// clean END.
+// Fault injection is the engine's record gate: outgoing records are numbered
+// from HELLO = 1 (probe = 2, verdict = 3, then transfer records), and a
+// FaultPlan either kills the connection immediately before record k or
+// stalls that record by a fixed delay. Kill points and record numbers are
+// functions of the caller's RNG only, which is what makes a load run's
+// summary reproducible. A killed pull commits nothing locally: the engine
+// receives into a session-private clone, and the DONE record is gated before
+// the commit point copies it over *spec.mine.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/socket.h"
 #include "net/wire_stream.h"
@@ -39,8 +37,6 @@ class SyncClient {
     std::uint16_t port{0};
     std::size_t io_chunk{65536};  // max bytes per read/write syscall (>= 1)
     int timeout_ms{10000};        // overall per-session deadline
-    std::uint32_t burst{32};      // pipelined sender batch
-    std::size_t write_watermark{256 * 1024};
   };
 
   struct FaultPlan {
@@ -88,7 +84,7 @@ class SyncClient {
   SessionResult run_session(const SessionSpec& spec);
 
  private:
-  struct Engine;  // per-session state machine (client.cc)
+  struct Session;  // one session's shell around the engine (client.cc)
 
   Options opt_;
   Fd fd_;

@@ -14,12 +14,18 @@ namespace {
 // sequence numbers and never reach this value.
 constexpr std::uint64_t kWakeToken = ~std::uint64_t{0};
 
+bool set_interest(int epfd, int op, int fd, std::uint64_t token, bool want_read,
+                  bool want_write) {
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u) | EPOLLRDHUP | EPOLLET;
+  ev.data.u64 = token;
+  return ::epoll_ctl(epfd, op, fd, &ev) == 0;
+}
+
 }  // namespace
 
-EpollLoop::EpollLoop(bool edge_triggered)
-    : epfd_(::epoll_create1(EPOLL_CLOEXEC)),
-      wakefd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)),
-      edge_triggered_(edge_triggered) {
+EpollLoop::EpollLoop()
+    : epfd_(::epoll_create1(EPOLL_CLOEXEC)), wakefd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
   if (epfd_.valid() && wakefd_.valid()) {
     epoll_event ev{};
     ev.events = EPOLLIN;  // level-triggered: stays readable until drained
@@ -31,19 +37,11 @@ EpollLoop::EpollLoop(bool edge_triggered)
 }
 
 bool EpollLoop::add(int fd, std::uint64_t token, bool want_read, bool want_write) {
-  epoll_event ev{};
-  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u) | EPOLLRDHUP |
-              (edge_triggered_ ? EPOLLET : 0u);
-  ev.data.u64 = token;
-  return ::epoll_ctl(epfd_.get(), EPOLL_CTL_ADD, fd, &ev) == 0;
+  return set_interest(epfd_.get(), EPOLL_CTL_ADD, fd, token, want_read, want_write);
 }
 
 bool EpollLoop::mod(int fd, std::uint64_t token, bool want_read, bool want_write) {
-  epoll_event ev{};
-  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u) | EPOLLRDHUP |
-              (edge_triggered_ ? EPOLLET : 0u);
-  ev.data.u64 = token;
-  return ::epoll_ctl(epfd_.get(), EPOLL_CTL_MOD, fd, &ev) == 0;
+  return set_interest(epfd_.get(), EPOLL_CTL_MOD, fd, token, want_read, want_write);
 }
 
 void EpollLoop::del(int fd) {

@@ -1,10 +1,8 @@
 // Non-blocking epoll event loop — the reactor under one server worker.
 //
-// Edge-triggered by default: the server's read path drains to EAGAIN and its
-// write path flushes to EAGAIN on every readiness report, which is the
-// discipline ET requires and which also works unmodified under level
-// triggering, so `edge_triggered=false` is a pure fallback switch (for
-// debugging, and for kernels/filesystems where ET semantics are suspect).
+// Edge-triggered: the server's read path drains to EAGAIN and its write path
+// flushes to EAGAIN on every readiness report, which is the discipline ET
+// requires.
 //
 // Each registered fd carries a caller token (connection id); readiness
 // reports come back token-tagged. wake() is the only thread-safe entry point:
@@ -21,13 +19,12 @@ namespace optrep::net {
 
 class EpollLoop {
  public:
-  explicit EpollLoop(bool edge_triggered = true);
+  EpollLoop();
   ~EpollLoop() = default;
   EpollLoop(const EpollLoop&) = delete;
   EpollLoop& operator=(const EpollLoop&) = delete;
 
   bool valid() const { return epfd_.valid() && wakefd_.valid(); }
-  bool edge_triggered() const { return edge_triggered_; }
 
   // Register / re-arm / remove an fd. `token` tags readiness reports.
   bool add(int fd, std::uint64_t token, bool want_read, bool want_write);
@@ -53,7 +50,6 @@ class EpollLoop {
  private:
   Fd epfd_;
   Fd wakefd_;
-  bool edge_triggered_;
 };
 
 }  // namespace optrep::net

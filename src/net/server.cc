@@ -9,11 +9,8 @@
 
 #include "common/check.h"
 #include "net/epoll_loop.h"
-#include "net/session_util.h"
-#include "net/wire_stream.h"
+#include "net/session_engine.h"
 #include "rt/thread_pool.h"
-#include "vv/order.h"
-#include "vv/protocol/compare_core.h"
 
 namespace optrep::net {
 
@@ -42,17 +39,18 @@ struct Server::AtomicStats {
   std::atomic<std::uint64_t> backpressure_pauses{0};
 };
 
-// One connection, owned by exactly one worker. The session fields are live
-// between HELLO and END/DONE; `work` is the session-private replica clone
-// that makes aborts free (drop it) and commits transactional (replay it).
-struct Server::Conn {
+// One connection, owned by exactly one worker: the engine plus the server's
+// shell state around it. `session.work()` is the session-private replica
+// clone that makes aborts free (drop it) and commits transactional (replay
+// it); the HELLO fields outlive a parked ACCEPT.
+struct Server::Conn final : SessionEngine::Host {
+  explicit Conn(Server* s) : sv(s) {}
+
+  Server* sv;
   Fd fd;
   std::uint64_t token{0};
-
   StreamDecoder in;
-  std::vector<std::uint8_t> out;
-  std::size_t out_pos{0};
-  vv::FrameDeltaState out_chain{};
+  SessionEngine session{this};
   bool want_write{false};
   bool eof{false};
   bool close_after_flush{false};  // rejected HELLO: flush the status, drop
@@ -61,11 +59,7 @@ struct Server::Conn {
     kPreamble,  // awaiting the connection magic
     kIdle,      // between sessions, awaiting HELLO
     kParked,    // push HELLO waiting on the replica's write ticket
-    kCompare,   // ACCEPT+probe sent; awaiting peer probe/verdict
-    kRecv,      // push transfer: feeding the receiver core
-    kSend,      // pull transfer: pumping the sender core
-    kAwaitEnd,  // no transfer on our receiving side; awaiting peer END
-    kAwaitDone, // our END sent; awaiting peer DONE
+    kSession,   // ACCEPT sent; the engine runs the session
   };
   State state{State::kPreamble};
 
@@ -74,24 +68,20 @@ struct Server::Conn {
   bool saw{false};  // stop-and-wait flow control
   std::uint32_t replica{0};
   bool owns_write{false};
-  bool transfer{false};
-  bool initially_concurrent{false};
-  bool end_sent{false};
-  bool pump_pending{false};
-  DoneStatus pending_done{DoneStatus::kNoop};
 
-  vv::RotatingVector work;
-  std::optional<vv::protocol::CompareCore> cmp;
-  bool probe_seen{false};
-  std::optional<vv::protocol::ElementSenderCore> snd;
-  std::optional<AnyReceiver> rx;
-  vv::protocol::Actions acts;  // reused across dispatches
-
-  std::size_t out_size() const { return out.size() - out_pos; }
+  // The push commit point: everything before it is a receiver no-op.
+  DoneStatus commit(vv::RotatingVector& work) override {
+    if (sv->store_.commit(replica, work)) {
+      sv->stats_->commits.fetch_add(1, std::memory_order_relaxed);
+      return DoneStatus::kCommitted;
+    }
+    sv->stats_->capacity_rejects.fetch_add(1, std::memory_order_relaxed);
+    return DoneStatus::kCapacity;
+  }
 };
 
 struct Server::Worker {
-  Worker(unsigned idx, bool et) : index(idx), loop(et) {}
+  explicit Worker(unsigned idx) : index(idx) {}
 
   unsigned index;
   EpollLoop loop;
@@ -128,7 +118,7 @@ bool Server::start(std::string* err) {
   }
   workers_.clear();
   for (unsigned w = 0; w < cfg_.workers; ++w) {
-    workers_.push_back(std::make_unique<Worker>(w, cfg_.edge_triggered));
+    workers_.push_back(std::make_unique<Worker>(w));
     if (!workers_.back()->loop.valid()) {
       if (err) *err = "failed to create epoll loop";
       workers_.clear();
@@ -247,7 +237,7 @@ void Server::accept_ready() {
 }
 
 void Server::adopt_conn(Worker& wk, int fd) {
-  auto c = std::make_unique<Conn>();
+  auto c = std::make_unique<Conn>(this);
   c->fd = Fd(fd);
   c->token = wk.next_token++;
   if (!wk.loop.add(fd, c->token, /*want_read=*/true, /*want_write=*/false)) {
@@ -277,7 +267,7 @@ void Server::resume_parked(Worker& wk, std::uint64_t token, std::uint32_t replic
   }
   Conn& c = *it->second;
   c.owns_write = true;
-  begin_session(wk, c);
+  begin_session(c);
   if (!dispatch_items(wk, c)) return;  // the HELLO-pipelined probe is queued
   finish_io(wk, c);
 }
@@ -314,19 +304,17 @@ bool Server::on_writable(Worker& wk, Conn& c) { return finish_io(wk, c); }
 
 // Flush the write buffer to EAGAIN. False on a hard socket error.
 bool Server::flush_out(Conn& c) {
-  while (c.out_size() > 0) {
-    const ssize_t n = ::write(c.fd.get(), c.out.data() + c.out_pos, c.out_size());
+  SessionEngine& s = c.session;
+  while (s.out_size() > 0) {
+    const ssize_t n = ::write(c.fd.get(), s.out_data(), s.out_size());
     if (n > 0) {
-      c.out_pos += static_cast<std::size_t>(n);
+      s.consume(static_cast<std::size_t>(n));
       stats_->bytes_tx.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
-  c.out.clear();
-  c.out_pos = 0;
   return true;
 }
 
@@ -334,23 +322,23 @@ bool Server::flush_out(Conn& c) {
 // epoll write interest to match the remaining buffer.
 bool Server::finish_io(Worker& wk, Conn& c) {
   for (;;) {
-    if (c.state == Conn::State::kSend && c.pump_pending &&
-        c.out_size() < cfg_.write_watermark) {
-      pump_sender(c);
+    if (c.session.can_pump()) {
+      c.session.pump();
+      if (c.session.pump_pending()) {  // stopped at the watermark
+        stats_->backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     if (!flush_out(c)) {
       close_conn(wk, c);
       return false;
     }
-    const bool can_pump = c.state == Conn::State::kSend && c.pump_pending &&
-                          c.out_size() < cfg_.write_watermark;
-    if (!can_pump) break;
+    if (!c.session.can_pump()) break;
   }
-  if (c.close_after_flush && c.out_size() == 0) {
+  if (c.close_after_flush && c.session.out_size() == 0) {
     close_conn(wk, c);
     return false;
   }
-  const bool ww = c.out_size() > 0;
+  const bool ww = c.session.out_size() > 0;
   if (ww != c.want_write) {
     c.want_write = ww;
     wk.loop.mod(c.fd.get(), c.token, /*want_read=*/true, ww);
@@ -358,33 +346,7 @@ bool Server::finish_io(Worker& wk, Conn& c) {
   return true;
 }
 
-void Server::pump_sender(Conn& c) {
-  while (c.pump_pending && c.snd && !c.snd->done()) {
-    if (c.out_size() >= cfg_.write_watermark) {
-      stats_->backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-      return;  // resume from on_writable once the buffer drains
-    }
-    c.pump_pending = false;
-    step_sender(c, vv::protocol::Event::link_free());
-  }
-  if (c.snd && c.snd->done()) c.pump_pending = false;
-}
-
-void Server::step_sender(Conn& c, const vv::protocol::Event& ev) {
-  c.acts.clear();
-  c.snd->step(ev, c.acts);
-  ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-  sink.apply(c.acts);
-  c.pump_pending = c.pump_pending || sink.pump_requested;
-  if (c.snd->done() && !c.end_sent) {
-    put_end(c.out);
-    c.end_sent = true;
-    c.pump_pending = false;
-    c.state = Conn::State::kAwaitDone;
-  }
-}
-
-// ---- session state machine -------------------------------------------------
+// ---- session shell ---------------------------------------------------------
 
 bool Server::dispatch_items(Worker& wk, Conn& c) {
   using IT = StreamDecoder::ItemType;
@@ -412,25 +374,13 @@ bool Server::dispatch_items(Worker& wk, Conn& c) {
         }
         handle_hello(wk, c, item);
         break;
-      case IT::kMsg:
-        handle_msg(c, item.msg);
-        break;
-      case IT::kEnd:
-        if (!handle_end(wk, c)) return false;
-        break;
-      case IT::kDone:
-        if (c.state != Conn::State::kAwaitDone) {
-          close_conn(wk, c);
+      default:  // messages, END, DONE — and ACCEPT, which the engine refuses
+        if (!c.session.on_item(item)) {
+          close_conn(wk, c);  // a protocol breach
           return false;
         }
-        if (item.status == static_cast<std::uint8_t>(DoneStatus::kNoop)) {
-          stats_->noops.fetch_add(1, std::memory_order_relaxed);
-        }
-        end_session(c);
+        if (c.state == Conn::State::kSession && !c.session.active()) end_session(c);
         break;
-      case IT::kAccept:  // a server never receives ACCEPT
-        close_conn(wk, c);
-        return false;
     }
   }
 }
@@ -447,13 +397,13 @@ void Server::handle_hello(Worker& wk, Conn& c, const StreamDecoder::Item& item) 
     st = AcceptStatus::kShutdown;
   } else if (c.replica >= store_.replicas()) {
     st = AcceptStatus::kBadReplica;
-  } else if (c.kind != SessionKind::kCompare &&
-             vector_kind_of(c.kind) != store_.kind()) {
+  } else if (c.kind > SessionKind::kSyncS ||
+             (c.kind != SessionKind::kCompare && vector_kind_of(c.kind) != store_.kind())) {
     st = AcceptStatus::kBadKind;
   }
   if (st != AcceptStatus::kOk) {
     stats_->bad_hellos.fetch_add(1, std::memory_order_relaxed);
-    put_accept(c.out, st);
+    put_accept(c.session.out(), st);
     c.close_after_flush = true;
     return;
   }
@@ -468,129 +418,23 @@ void Server::handle_hello(Worker& wk, Conn& c, const StreamDecoder::Item& item) 
     return;
   }
   c.owns_write = is_push;
-  begin_session(wk, c);
+  begin_session(c);
 }
 
-void Server::begin_session(Worker&, Conn& c) {
-  store_.snapshot(c.replica, &c.work);
-  put_accept(c.out, AcceptStatus::kOk);
-  c.out_chain = {};  // session boundary: the peer's decoder resets at ACCEPT
-  c.transfer = false;
-  c.initially_concurrent = false;
-  c.end_sent = false;
-  c.pump_pending = false;
-  c.probe_seen = false;
-  c.rx.reset();
-  c.snd.reset();
-  c.cmp.emplace(&c.work);
-  c.acts.clear();
-  c.cmp->step(vv::protocol::Event::start(), c.acts);  // our COMPARE probe
-  ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-  sink.apply(c.acts);
-  c.state = Conn::State::kCompare;
+void Server::begin_session(Conn& c) {
+  store_.snapshot(c.replica, &c.session.work());
+  put_accept(c.session.out(), AcceptStatus::kOk);
+  c.state = Conn::State::kSession;
+  c.session.begin(c.kind, /*data_sender=*/c.kind != SessionKind::kCompare && c.pull, c.saw,
+                  store_.own_site(c.replica));
 }
 
-void Server::handle_msg(Conn& c, const vv::VvMsg& msg) {
-  switch (c.state) {
-    case Conn::State::kCompare: {
-      c.acts.clear();
-      c.cmp->step(vv::protocol::Event::msg_arrival(msg), c.acts);
-      ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-      sink.apply(c.acts);
-      if (msg.kind == vv::VvMsg::Kind::kProbe) c.probe_seen = true;
-      // Complete = we answered their probe AND hold their verdict on ours.
-      if (c.probe_seen && c.cmp->complete()) compare_done(c);
-      return;
-    }
-    case Conn::State::kRecv: {
-      c.acts.clear();
-      c.rx->step(vv::protocol::Event::msg_arrival(msg), c.acts);
-      ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-      sink.apply(c.acts);  // stop-and-wait ACKs / SYNCS SKIPs flow back
-      return;
-    }
-    case Conn::State::kSend:
-      step_sender(c, vv::protocol::Event::msg_arrival(msg));
-      return;
-    default:
-      return;  // stray message: tolerated (protocol robustness contract)
-  }
-}
-
-void Server::compare_done(Conn& c) {
-  // Our verdict: this replica's vector vs the client's (Ordering::kBefore =
-  // the client knows strictly more).
-  const vv::Ordering rel = c.cmp->decide();
-  if (c.kind == SessionKind::kCompare) {
-    c.pending_done = DoneStatus::kNoop;
-    c.state = Conn::State::kAwaitEnd;
-    return;
-  }
-  const vv::VectorKind vk = vector_kind_of(c.kind);
-  if (!c.pull) {
-    // Push: we are the data receiver, so our relation IS the receiver's.
-    if (transfer_needed(rel, vk)) {
-      c.transfer = true;
-      c.initially_concurrent = rel == vv::Ordering::kConcurrent;
-      c.rx.emplace(vk, c.saw, &c.work, c.initially_concurrent);
-      c.acts.clear();
-      c.rx->step(vv::protocol::Event::start(), c.acts);
-      ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-      sink.apply(c.acts);
-      c.state = Conn::State::kRecv;
-    } else {
-      c.pending_done = DoneStatus::kNoop;  // =, covered, or BRV ‖ degrade
-      c.state = Conn::State::kAwaitEnd;
-    }
-    return;
-  }
-  // Pull: the client receives; its relation is the flip of ours.
-  if (transfer_needed(vv::flip(rel), vk)) {
-    c.transfer = true;
-    c.snd.emplace(sender_config(vk, c.saw, cfg_.burst), &c.work);
-    c.state = Conn::State::kSend;
-    step_sender(c, vv::protocol::Event::start());
-  } else {
-    put_end(c.out);
-    c.end_sent = true;
-    c.state = Conn::State::kAwaitDone;
-  }
-}
-
-bool Server::handle_end(Worker& wk, Conn& c) {
-  switch (c.state) {
-    case Conn::State::kAwaitEnd:
-      put_done(c.out, c.pending_done);
-      if (c.pending_done == DoneStatus::kNoop) {
-        stats_->noops.fetch_add(1, std::memory_order_relaxed);
-      }
-      release_ticket(c);
-      end_session(c);
-      return true;
-    case Conn::State::kRecv: {
-      // The commit point: everything before this is a receiver no-op.
-      if (c.initially_concurrent) c.work.record_update(store_.own_site(c.replica));
-      DoneStatus ds;
-      if (store_.commit(c.replica, c.work)) {
-        ds = DoneStatus::kCommitted;
-        stats_->commits.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ds = DoneStatus::kCapacity;
-        stats_->capacity_rejects.fetch_add(1, std::memory_order_relaxed);
-      }
-      put_done(c.out, ds);
-      release_ticket(c);
-      end_session(c);
-      return true;
-    }
-    default:
-      close_conn(wk, c);  // END outside a session half is a protocol breach
-      return false;
-  }
-}
-
+// The DONE exchange completed, in either direction.
 void Server::end_session(Conn& c) {
   stats_->sessions_completed.fetch_add(1, std::memory_order_relaxed);
+  if (c.session.done() == DoneStatus::kNoop) {
+    stats_->noops.fetch_add(1, std::memory_order_relaxed);
+  }
   switch (c.kind) {
     case SessionKind::kCompare:
       stats_->compare_sessions.fetch_add(1, std::memory_order_relaxed);
@@ -600,14 +444,8 @@ void Server::end_session(Conn& c) {
           .fetch_add(1, std::memory_order_relaxed);
       break;
   }
+  release_ticket(c);
   c.state = Conn::State::kIdle;
-  c.cmp.reset();
-  c.rx.reset();
-  c.snd.reset();
-  c.owns_write = false;
-  c.transfer = false;
-  c.end_sent = false;
-  c.pump_pending = false;
 }
 
 void Server::release_ticket(Conn& c) {
@@ -618,9 +456,7 @@ void Server::release_ticket(Conn& c) {
 
 void Server::close_conn(Worker& wk, Conn& c) {
   stats_->conns_closed.fetch_add(1, std::memory_order_relaxed);
-  const bool mid_session =
-      c.state != Conn::State::kPreamble && c.state != Conn::State::kIdle;
-  if (mid_session) {
+  if (c.state == Conn::State::kParked || c.state == Conn::State::kSession) {
     stats_->sessions_aborted.fetch_add(1, std::memory_order_relaxed);
     if (c.state == Conn::State::kParked) {
       // cancel_wait false ⇒ a release already transferred the ticket to this
@@ -630,8 +466,8 @@ void Server::close_conn(Worker& wk, Conn& c) {
     } else {
       release_ticket(c);
     }
-    // The private `work` clone is simply dropped: the live replica never saw
-    // any of this session (the recovery invariant, structurally).
+    // The private clone is simply dropped: the live replica never saw any of
+    // this session.
   }
   wk.loop.del(c.fd.get());
   const std::uint64_t token = c.token;

@@ -1,26 +1,28 @@
-// The epoll-driven async sync server (ROADMAP item 1).
+// The epoll-driven async sync server.
 //
 // One process, N reactor workers on an rt::ThreadPool (worker 0 also owns
 // the listener; accepted connections are dealt round-robin through per-worker
-// inboxes + an eventfd wake). Each worker runs its own net::EpollLoop and
-// owns its connections outright — no cross-worker connection state, so the
-// only sharing is the ReplicaStore, which serializes writers per slot and
-// serves readers optimistically.
+// inboxes + an eventfd wake). Each worker runs its own edge-triggered
+// net::EpollLoop and owns its connections outright — no cross-worker
+// connection state, so the only sharing is the ReplicaStore, which
+// serializes writers per slot and serves readers optimistically.
 //
-// A connection's session pipeline (wire_stream.h protocol):
+// The session itself is net::SessionEngine (session_engine.h), the same
+// engine the client runs; the server is the data receiver on a push or
+// COMPARE session and the data sender on a pull. What the server adds is
+// the I/O shell around it:
 //
-//   HELLO → [write ticket, push only] → snapshot → ACCEPT + COMPARE probe
-//   → COMPARE verdicts decide the relation → element transfer (server is
-//   receiver for push, sender for pull; COMPARE sessions skip the transfer)
-//   → END/DONE, commit on the push path.
+//   HELLO validation → [write ticket, push only] → snapshot into the
+//   engine's clone → ACCEPT → engine session → ReplicaStore::commit at the
+//   engine's commit point (push) → release the ticket
 //
 // Sessions run on a private snapshot and commit whole or not at all: any
 // disconnect, decode error, or slow-client teardown before the commit point
-// discards the clone, which is what makes the PR 5 recovery invariant — a
-// failed session leaves the receiver replica byte-identical — structural
-// rather than policed. Slow readers exert backpressure on the sender pump
-// via a write-buffer watermark; partial records are the stream decoder's
-// problem (frame_codec's resumable kTruncated contract).
+// discards the clone, so a failed session leaves the receiver replica
+// byte-identical by construction rather than by rollback. Slow readers exert
+// backpressure on the sender pump through the engine's write-buffer
+// watermark; partial records are the stream decoder's problem (frame_codec's
+// resumable kTruncated contract).
 #pragma once
 
 #include <atomic>
@@ -41,9 +43,6 @@ struct ServerConfig {
   std::uint16_t port{0};  // 0 = ephemeral; see Server::port()
   unsigned workers{1};
   ReplicaStore::Config store{};
-  bool edge_triggered{true};
-  std::uint32_t burst{32};                  // sender pump batch per dispatch
-  std::size_t write_watermark{256 * 1024};  // pause the pump above this
   int backlog{128};
 };
 
@@ -104,14 +103,9 @@ class Server {
   bool on_writable(Worker& wk, Conn& c);
   bool flush_out(Conn& c);
   bool finish_io(Worker& wk, Conn& c);
-  void pump_sender(Conn& c);
-  void step_sender(Conn& c, const vv::protocol::Event& ev);
   bool dispatch_items(Worker& wk, Conn& c);
   void handle_hello(Worker& wk, Conn& c, const StreamDecoder::Item& item);
-  void begin_session(Worker& wk, Conn& c);
-  void handle_msg(Conn& c, const vv::VvMsg& msg);
-  void compare_done(Conn& c);
-  bool handle_end(Worker& wk, Conn& c);
+  void begin_session(Conn& c);
   void end_session(Conn& c);
   void release_ticket(Conn& c);
   void close_conn(Worker& wk, Conn& c);

@@ -82,7 +82,7 @@ StreamDecoder::Item StreamDecoder::pull_control() {
       if (avail < 6) return item;  // kNeedMore
       item.type = ItemType::kHello;
       const std::uint8_t kb = buf_[pos_ + 1];
-      item.kind = static_cast<SessionKind>(kb & kHelloKindMask & 0x03);
+      item.kind = static_cast<SessionKind>(kb & kHelloKindMask);
       item.flags = static_cast<std::uint8_t>(kb & ~kHelloKindMask);
       item.replica = 0;
       for (int i = 0; i < 4; ++i) {
@@ -115,32 +115,6 @@ StreamDecoder::Item StreamDecoder::pull_control() {
       item.type = ItemType::kMagic;
       pos_ += 4;
       return item;
-    }
-  }
-}
-
-void ActionSink::apply(const std::vector<vv::protocol::Action>& acts) {
-  using A = vv::protocol::Action::Type;
-  for (const auto& a : acts) {
-    switch (a.type) {
-      case A::kSend:
-      case A::kSendRevocable:
-        vv::frame_encode_msg(*out, a.msg, chain);
-        ++sends;
-        break;
-      case A::kPumpWhenFree:
-        pump_requested = true;
-        break;
-      case A::kFinished:
-        finished = true;
-        break;
-      case A::kRevokeTail:
-      case A::kCaptureResume:
-      case A::kRepumpAtResume:
-      case A::kTraceApplied:
-      case A::kTraceRedundant:
-      case A::kTraceStraggler:
-        break;  // speculation bookkeeping / tracing: no wire effect over TCP
     }
   }
 }

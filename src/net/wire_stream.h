@@ -11,11 +11,11 @@
 //   data sender  →    END    = [0x45]      (its half of the session is done)
 //   data receiver →   DONE   = [0x44, status]
 //
-// The kind byte's low nibble selects the session (COMPARE / SYNCB / SYNCC /
-// SYNCS); flag 0x10 makes it a pull (server is the element sender), flag
-// 0x20 selects stop-and-wait flow control (the vv ablation mode — fully
-// lockstep, which is also what makes bench_serve's byte totals machine-
-// independent).
+// The kind byte's low nibble selects the session (0..3: COMPARE / SYNCB /
+// SYNCC / SYNCS; the server answers any other nibble with kBadKind); flag
+// 0x10 makes it a pull (server is the element sender), flag 0x20 selects
+// stop-and-wait flow control (the vv ablation mode — fully lockstep, which
+// is also what makes bench_serve's byte totals machine-independent).
 //
 // The control tags live in frame_codec's unassigned tag space, so the
 // decoder below is context-free: it runs vv::frame_decode_stream until the
@@ -34,8 +34,6 @@
 #include <vector>
 
 #include "vv/frame_codec.h"
-#include "vv/order.h"
-#include "vv/protocol/core.h"
 #include "vv/rotating_vector.h"
 #include "vv/wire.h"
 
@@ -58,7 +56,7 @@ inline constexpr std::uint8_t kHelloFlagStopAndWait = 0x20;  // ablation flow co
 
 enum class AcceptStatus : std::uint8_t {
   kOk = 0,
-  kBadKind = 1,     // sync kind does not match the store's vector kind
+  kBadKind = 1,     // undefined kind, or a sync kind the store does not run
   kBadReplica = 2,  // replica id out of range
   kShutdown = 3,    // server is stopping
 };
@@ -97,16 +95,6 @@ constexpr SessionKind session_kind_of(vv::VectorKind k) {
     case vv::VectorKind::kSrv: return SessionKind::kSyncS;
   }
   return SessionKind::kSyncB;
-}
-
-// Does the element transfer run at all? `receiver_rel` is the receiver's
-// COMPARE verdict (receiver vector vs sender vector): a strict predecessor
-// always syncs; concurrent replicas sync under CRV/SRV, while SYNCB cannot
-// reconcile ‖ and the session degrades to a no-op (§2.2 / sync_with_recovery
-// BRV note). kEqual / kAfter mean the receiver already covers the sender.
-constexpr bool transfer_needed(vv::Ordering receiver_rel, vv::VectorKind kind) {
-  return receiver_rel == vv::Ordering::kBefore ||
-         (receiver_rel == vv::Ordering::kConcurrent && kind != vv::VectorKind::kBrv);
 }
 
 // ---- encode helpers --------------------------------------------------------
@@ -172,22 +160,6 @@ class StreamDecoder {
   vv::FrameDeltaState chain_{};
   std::deque<vv::VvMsg> msgs_;  // decoded ahead by frame_decode_stream
   bool dead_{false};
-};
-
-// ---- outgoing action sink --------------------------------------------------
-
-// Translates one protocol-core action batch into stream bytes. Over TCP
-// nothing is revocable (TailViews are always zero), so kSendRevocable is a
-// plain send and the revoke/re-pump speculation actions are no-ops; what
-// remains is sends, the pump-continuation request, and the finish marker.
-struct ActionSink {
-  std::vector<std::uint8_t>* out{nullptr};
-  vv::FrameDeltaState* chain{nullptr};
-  bool pump_requested{false};
-  bool finished{false};
-  std::uint64_t sends{0};
-
-  void apply(const std::vector<vv::protocol::Action>& acts);
 };
 
 }  // namespace optrep::net

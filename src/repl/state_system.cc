@@ -132,7 +132,22 @@ SyncOutcome StateSystem::sync_pair(StateReplica& receiver, StateReplica& sender,
       out.report.bits_rev = vv::compare_cost_bits(cfg_.cost) / 2;
       break;
 
-    case vv::Ordering::kBefore: {
+    case vv::Ordering::kBefore:
+    case vv::Ordering::kConcurrent: {
+      const bool concurrent = rel == vv::Ordering::kConcurrent;
+      if (concurrent && cfg_.policy == ResolutionPolicy::kManual) {
+        // §2.1: both replicas leave the system until resolved manually.
+        receiver.conflicted = true;
+        sender.conflicted = true;
+        out.action = SyncOutcome::Action::kConflictHeld;
+        out.report.initial_relation = rel;
+        out.report.bits_fwd = vv::compare_cost_bits(cfg_.cost) / 2;
+        out.report.bits_rev = vv::compare_cost_bits(cfg_.cost) / 2;
+        break;
+      }
+      // ≺ pulls the sender's state; ‖ reconciles automatically: vector sync,
+      // payload merge, then the mandated local update on the receiving site
+      // ([11 §C], §2.2).
       out.report = vv::sync_with_recovery(loop, receiver.vector, sender.vector, opt);
       out.report.bits_fwd += vv::compare_cost_bits(cfg_.cost) / 2;
       out.report.bits_rev += vv::compare_cost_bits(cfg_.cost) / 2;
@@ -145,7 +160,11 @@ SyncOutcome StateSystem::sync_pair(StateReplica& receiver, StateReplica& sender,
       }
       for (const auto& e : sender.data.entries) out.payload_bytes += e.size();
       std::vector<UpdateId> fresh = causal_fresh(sender, receiver, causal);
-      receiver.data = sender.data;  // state transfer overwrites the replica
+      if (concurrent) {
+        receiver.data.merge(sender.data);
+      } else {
+        receiver.data = sender.data;  // state transfer overwrites the replica
+      }
       receiver.oracle_vector.join(sender.oracle_vector);
       receiver.oracle_history.insert(sender.oracle_history.begin(),
                                      sender.oracle_history.end());
@@ -158,44 +177,9 @@ SyncOutcome StateSystem::sync_pair(StateReplica& receiver, StateReplica& sender,
           causal_converge_check(obj, u);
         }
       }
-      out.action = SyncOutcome::Action::kPulled;
-      break;
-    }
-
-    case vv::Ordering::kConcurrent: {
-      if (cfg_.policy == ResolutionPolicy::kManual) {
-        // §2.1: both replicas leave the system until resolved manually.
-        receiver.conflicted = true;
-        sender.conflicted = true;
-        out.action = SyncOutcome::Action::kConflictHeld;
-        out.report.initial_relation = rel;
-        out.report.bits_fwd = vv::compare_cost_bits(cfg_.cost) / 2;
-        out.report.bits_rev = vv::compare_cost_bits(cfg_.cost) / 2;
+      if (!concurrent) {
+        out.action = SyncOutcome::Action::kPulled;
         break;
-      }
-      // Automatic reconciliation: vector sync, payload merge, then the
-      // mandated local update on the receiving site ([11 §C], §2.2).
-      out.report = vv::sync_with_recovery(loop, receiver.vector, sender.vector, opt);
-      out.report.bits_fwd += vv::compare_cost_bits(cfg_.cost) / 2;
-      out.report.bits_rev += vv::compare_cost_bits(cfg_.cost) / 2;
-      if (!out.report.converged) {
-        out.action = SyncOutcome::Action::kFailed;
-        break;
-      }
-      for (const auto& e : sender.data.entries) out.payload_bytes += e.size();
-      std::vector<UpdateId> fresh = causal_fresh(sender, receiver, causal);
-      receiver.data.merge(sender.data);
-      receiver.oracle_vector.join(sender.oracle_vector);
-      receiver.oracle_history.insert(sender.oracle_history.begin(),
-                                     sender.oracle_history.end());
-      if (fx != nullptr) {
-        fx->fresh = std::move(fresh);
-      } else {
-        for (const UpdateId& u : fresh) {
-          causal->deliver(loop.now(), obj, u.site, u.seq, out.report.causal_span,
-                          src, dst);
-          causal_converge_check(obj, u);
-        }
       }
       if (cfg_.check_oracle) check_replica(receiver);
       // The separate post-reconciliation update (metadata only: the merged

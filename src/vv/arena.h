@@ -34,11 +34,13 @@
 // surfaced by the scenario engine as rt.arena.* gauges and timeline rows.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -156,8 +158,7 @@ class Column {
   Column(Column&& o) noexcept
       : data_(o.data_), size_(o.size_), cap_(o.cap_), arena_(o.arena_) {
     // The source stays bound to its arena but owns no block (vector-style
-    // moved-from state): FlatSiteIndex::rehash moves the old table out and
-    // re-assigns into the same member.
+    // moved-from state).
     o.data_ = nullptr;
     o.size_ = 0;
     o.cap_ = 0;
@@ -191,6 +192,22 @@ class Column {
 
   T* data() { return data_; }
   const T* data() const { return data_; }
+
+  // Publication pair for an optimistic reader racing the single writer:
+  // swap() hands this column `o`'s block with one release store of the data
+  // pointer (a reader sees the old block or the new one, never a null in
+  // between), and data_acquire() is the matching reader-side load.
+  void swap(Column& o) noexcept {
+    T* const d = o.data_;
+    o.data_ = data_;
+    std::atomic_ref<T*>(data_).store(d, std::memory_order_release);
+    std::swap(size_, o.size_);
+    std::swap(cap_, o.cap_);
+    std::swap(arena_, o.arena_);
+  }
+  const T* data_acquire() const {
+    return std::atomic_ref<T*>(const_cast<T*&>(data_)).load(std::memory_order_acquire);
+  }
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
   T& back() { return data_[size_ - 1]; }

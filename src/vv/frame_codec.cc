@@ -28,19 +28,6 @@ constexpr std::uint8_t kFlagWideSkip = 0x10;
 constexpr std::uint32_t kWideSiteBytes = 4;
 constexpr std::uint32_t kWideValueBytes = 8;
 
-std::uint32_t varint_len(std::uint64_t v) {
-  std::uint32_t len = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++len;
-  }
-  return len;
-}
-
-std::uint64_t zigzag(std::int64_t n) {
-  return (static_cast<std::uint64_t>(n) << 1) ^ static_cast<std::uint64_t>(n >> 63);
-}
-
 std::int64_t unzigzag(std::uint64_t z) {
   return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
 }

@@ -35,6 +35,21 @@
 
 namespace optrep::vv {
 
+// The codec's integer primitives, shared with the graph frame sizer: LEB128
+// byte length and zigzag folding of signed deltas.
+inline std::uint32_t varint_len(std::uint64_t v) {
+  std::uint32_t len = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++len;
+  }
+  return len;
+}
+
+inline std::uint64_t zigzag(std::int64_t n) {
+  return (static_cast<std::uint64_t>(n) << 1) ^ static_cast<std::uint64_t>(n >> 63);
+}
+
 // Exact encoded size of one frame, computed without materializing bytes
 // (this is the FrameLink sizer: it runs once per frame on the hot path).
 std::uint64_t frame_wire_bytes(const std::vector<VvMsg>& msgs);

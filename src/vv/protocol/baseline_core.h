@@ -33,6 +33,7 @@ class BaselineSenderCore {
   }
 
   std::uint64_t elems_sent() const { return to_send_->size(); }
+  std::uint64_t violations() const { return 0; }  // receives nothing
 
  private:
   const std::vector<std::pair<SiteId, std::uint64_t>>* to_send_;

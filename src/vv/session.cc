@@ -548,25 +548,20 @@ struct SessionAccounting {
   }
 };
 
-template <class ReceiverCore, class... ReceiverArgs>
-SyncReport run_rotating_session(sim::EventLoop& loop, RotatingVector& a,
-                                const RotatingVector& b, const SyncOptions& opt,
-                                Ordering rel, std::uint64_t compare_bits,
-                                ReceiverArgs&&... rargs) {
+// The one session runner: drives a sender core and a receiver core over a
+// fresh framed duplex until the loop quiesces, then builds the report.
+// Messages are sized as `size_kind` elements (baselines: plain BRV elements).
+template <class SenderCore, class ReceiverCore>
+SyncReport run_session(sim::EventLoop& loop, const SyncOptions& opt, VectorKind size_kind,
+                       Ordering rel, std::uint64_t compare_bits, SenderCore sender_core,
+                       ReceiverCore receiver_core) {
   SessionWiring w(loop, opt);
-  protocol::ElementSenderCore::Config scfg;
-  scfg.skip_enabled = opt.kind == VectorKind::kSrv;
-  scfg.pipelined = opt.mode == TransferMode::kPipelined;
-  scfg.framed = w.duplex.b_to_a().framed();
-  scfg.burst = scfg.framed ? opt.net.frame_budget : 1;
-  CoreDriver<protocol::ElementSenderCore> sender(
-      &loop, &w.duplex.b_to_a(), &opt, opt.kind, protocol::ElementSenderCore(scfg, &b),
-      &w.span);
-  CoreDriver<ReceiverCore> receiver(
-      &loop, &w.duplex.a_to_b(), &opt, opt.kind,
-      ReceiverCore(scfg.pipelined, &a, std::forward<ReceiverArgs>(rargs)...), &w.span);
+  CoreDriver<SenderCore> sender(&loop, &w.duplex.b_to_a(), &opt, size_kind,
+                                std::move(sender_core), &w.span);
+  CoreDriver<ReceiverCore> receiver(&loop, &w.duplex.a_to_b(), &opt, size_kind,
+                                    std::move(receiver_core), &w.span);
   w.connect([&receiver](const VvMsg& m) { receiver.on_message(m); },
-            [&sender](const VvMsg& m) { sender.on_message(m); }, opt.kind);
+            [&sender](const VvMsg& m) { sender.on_message(m); }, size_kind);
   const sim::Time t0 = loop.now();
   const std::uint64_t ev0 = loop.executed_events();
   w.trace_boundary(loop, obs::TraceEventType::kSessionBegin, 0);
@@ -601,6 +596,23 @@ SyncReport run_rotating_session(sim::EventLoop& loop, RotatingVector& a,
   return r;
 }
 
+// The rotating-vector sender: one core for all three algorithms, bursting a
+// frame budget per pump when framed.
+protocol::ElementSenderCore element_sender(const SyncOptions& opt, const RotatingVector& b) {
+  protocol::ElementSenderCore::Config cfg;
+  cfg.skip_enabled = opt.kind == VectorKind::kSrv;
+  cfg.pipelined = opt.mode == TransferMode::kPipelined;
+  cfg.framed = opt.net.frame_budget > 0;
+  cfg.burst = cfg.framed ? opt.net.frame_budget : 1;
+  return protocol::ElementSenderCore(cfg, &b);
+}
+
+std::vector<std::pair<SiteId, std::uint64_t>> sorted_elements(const VersionVector& v) {
+  std::vector<std::pair<SiteId, std::uint64_t>> out(v.elements().begin(), v.elements().end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 Ordering resolve_relation(const RotatingVector& a, const RotatingVector& b,
                           const SyncOptions& opt, std::uint64_t* compare_bits) {
   if (opt.known_relation.has_value()) {
@@ -618,7 +630,8 @@ SyncReport sync_basic(sim::EventLoop& loop, RotatingVector& a, const RotatingVec
   OPTREP_SPAN("vv.syncb");
   std::uint64_t cb = 0;
   const Ordering rel = resolve_relation(a, b, opt, &cb);
-  return run_rotating_session<protocol::BasicReceiverCore>(loop, a, b, opt, rel, cb);
+  return run_session(loop, opt, opt.kind, rel, cb, element_sender(opt, b),
+                     protocol::BasicReceiverCore(opt.mode == TransferMode::kPipelined, &a));
 }
 
 SyncReport sync_conflict(sim::EventLoop& loop, RotatingVector& a, const RotatingVector& b,
@@ -626,8 +639,9 @@ SyncReport sync_conflict(sim::EventLoop& loop, RotatingVector& a, const Rotating
   OPTREP_SPAN("vv.syncc");
   std::uint64_t cb = 0;
   const Ordering rel = resolve_relation(a, b, opt, &cb);
-  return run_rotating_session<protocol::ConflictReceiverCore>(loop, a, b, opt, rel, cb,
-                                                              rel == Ordering::kConcurrent);
+  return run_session(loop, opt, opt.kind, rel, cb, element_sender(opt, b),
+                     protocol::ConflictReceiverCore(opt.mode == TransferMode::kPipelined, &a,
+                                                    rel == Ordering::kConcurrent));
 }
 
 SyncReport sync_skip(sim::EventLoop& loop, RotatingVector& a, const RotatingVector& b,
@@ -635,8 +649,9 @@ SyncReport sync_skip(sim::EventLoop& loop, RotatingVector& a, const RotatingVect
   OPTREP_SPAN("vv.syncs");
   std::uint64_t cb = 0;
   const Ordering rel = resolve_relation(a, b, opt, &cb);
-  return run_rotating_session<protocol::SkipReceiverCore>(loop, a, b, opt, rel, cb,
-                                                          rel == Ordering::kConcurrent);
+  return run_session(loop, opt, opt.kind, rel, cb, element_sender(opt, b),
+                     protocol::SkipReceiverCore(opt.mode == TransferMode::kPipelined, &a,
+                                                rel == Ordering::kConcurrent));
 }
 
 SyncReport sync_rotating(sim::EventLoop& loop, RotatingVector& a, const RotatingVector& b,
@@ -802,66 +817,17 @@ SyncReport sync_with_recovery(sim::EventLoop& loop, RotatingVector& a, const Rot
   return total;
 }
 
-namespace {
-
 // Baseline sessions: the send set is known upfront, so the sender core emits
 // everything on kStart (the link's FIFO pacing models transmission time) and
 // the receiver core simply joins. Baseline traffic is sized as BRV elements
 // (no conflict/segment bits) regardless of opt.kind.
-SyncReport run_baseline_session(sim::EventLoop& loop, VersionVector& a,
-                                const std::vector<std::pair<SiteId, std::uint64_t>>& to_send,
-                                Ordering rel, const SyncOptions& opt) {
-  SessionWiring w(loop, opt);
-  CoreDriver<protocol::BaselineSenderCore> sender(&loop, &w.duplex.b_to_a(), &opt,
-                                                  VectorKind::kBrv,
-                                                  protocol::BaselineSenderCore(&to_send),
-                                                  &w.span);
-  CoreDriver<protocol::BaselineReceiverCore> receiver(&loop, &w.duplex.a_to_b(), &opt,
-                                                      VectorKind::kBrv,
-                                                      protocol::BaselineReceiverCore(&a),
-                                                      &w.span);
-  w.connect([&receiver](const VvMsg& m) { receiver.on_message(m); },
-            [&sender](const VvMsg& m) { sender.on_message(m); }, VectorKind::kBrv);
-  const sim::Time t0 = loop.now();
-  const std::uint64_t ev0 = loop.executed_events();
-  w.trace_boundary(loop, obs::TraceEventType::kSessionBegin, 0);
-  loop.schedule(t0, [&sender] { sender.start(); });
-  const sim::Time t_end = loop.run();
-  if (opt.net.faults.enabled() && !receiver.core().finished()) receiver.abort();
-  const SessionAccounting acc{rel,
-                              /*compare_bits=*/0,
-                              t0,
-                              t_end,
-                              &w.duplex.b_to_a().stats(),
-                              &w.duplex.a_to_b().stats(),
-                              sender.core().elems_sent(),
-                              &receiver.core().counters(),
-                              receiver.done_at(),
-                              /*sender_violations=*/0};
-  SyncReport r = acc.build();
-  w.harvest_framing(loop, ev0, r);
-  w.trace_boundary(loop, obs::TraceEventType::kSessionEnd, r.total_bits());
-  if (w.causal != nullptr) {
-    w.causal->end_span(loop.now(), w.span, r.total_bits(), receiver.core().finished());
-    r.causal_span = w.span;
-  }
-  publish_session_metrics(opt.metrics, r);
-  return r;
-}
-
-std::vector<std::pair<SiteId, std::uint64_t>> sorted_elements(const VersionVector& v) {
-  std::vector<std::pair<SiteId, std::uint64_t>> out(v.elements().begin(), v.elements().end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-}  // namespace
-
 SyncReport sync_traditional(sim::EventLoop& loop, VersionVector& a, const VersionVector& b,
                             const SyncOptions& opt) {
   OPTREP_SPAN("vv.traditional");
   const Ordering rel = a.compare(b);
-  return run_baseline_session(loop, a, sorted_elements(b), rel, opt);
+  const auto to_send = sorted_elements(b);
+  return run_session(loop, opt, VectorKind::kBrv, rel, /*compare_bits=*/0,
+                     protocol::BaselineSenderCore(&to_send), protocol::BaselineReceiverCore(&a));
 }
 
 SyncReport sync_singhal_kshemkalyani(sim::EventLoop& loop, VersionVector& a,
@@ -874,7 +840,8 @@ SyncReport sync_singhal_kshemkalyani(sim::EventLoop& loop, VersionVector& a,
     if (value > last_sent.value(site)) delta.emplace_back(site, value);
   }
   last_sent = b;
-  return run_baseline_session(loop, a, delta, rel, opt);
+  return run_session(loop, opt, VectorKind::kBrv, rel, /*compare_bits=*/0,
+                     protocol::BaselineSenderCore(&delta), protocol::BaselineReceiverCore(&a));
 }
 
 CompareSessionResult compare_session(sim::EventLoop& loop, const RotatingVector& a,

@@ -79,13 +79,17 @@ TEST_P(Table2Bounds, SkipHeavyWorkloadStaysWithinBound) {
   }()));
 }
 
+// A static table, not an inline ::testing::Values(...): gtest prints each
+// BoundCase's raw bytes, padding included, into the test name, and only
+// static storage zeroes that padding.
+constexpr BoundCase kCells[] = {
+    {VectorKind::kBrv, 4}, {VectorKind::kBrv, 32}, {VectorKind::kBrv, 256},
+    {VectorKind::kCrv, 4}, {VectorKind::kCrv, 32}, {VectorKind::kCrv, 256},
+    {VectorKind::kSrv, 4}, {VectorKind::kSrv, 32}, {VectorKind::kSrv, 256},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Cells, Table2Bounds,
-    ::testing::Values(BoundCase{VectorKind::kBrv, 4}, BoundCase{VectorKind::kBrv, 32},
-                      BoundCase{VectorKind::kBrv, 256}, BoundCase{VectorKind::kCrv, 4},
-                      BoundCase{VectorKind::kCrv, 32}, BoundCase{VectorKind::kCrv, 256},
-                      BoundCase{VectorKind::kSrv, 4}, BoundCase{VectorKind::kSrv, 32},
-                      BoundCase{VectorKind::kSrv, 256}),
+    Cells, Table2Bounds, ::testing::ValuesIn(kCells),
     [](const auto& info) {
       return std::string(to_string(info.param.kind)) + "N" +
              std::to_string(info.param.n);

@@ -106,6 +106,12 @@ if(DEFINED SERVE)
   expect_rejected_by(${SERVE} "--capacity must be >= --replicas"
                      --replicas=8 --capacity=4)
   expect_rejected_by(${SERVE} "unknown option" --bogus)
+  # --burst and --level-triggered name no setting: the sender batch and the
+  # write watermark are session-engine constants, and epoll is always
+  # edge-triggered.
+  foreach(gone --burst=8 --level-triggered)
+    expect_rejected_by(${SERVE} "unknown option: ${gone}" "${gone}")
+  endforeach()
   message(STATUS "optrep_serve strict-validation checks hold")
 endif()
 

@@ -105,19 +105,19 @@ TEST_P(Conservation, EqualSyncIsMinimal) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, Conservation,
-    ::testing::Values(
-        NetCase{TransferMode::kIdeal, {}, "ideal"},
-        NetCase{TransferMode::kStopAndWait, {.latency_s = 0.01}, "saw"},
-        NetCase{TransferMode::kPipelined, {.latency_s = 0.0}, "pipe_zero"},
-        NetCase{TransferMode::kPipelined,
-                {.latency_s = 0.01, .bandwidth_bits_per_s = 1e5},
-                "pipe_slow"},
-        NetCase{TransferMode::kPipelined,
-                {.latency_s = 0.05, .bandwidth_bits_per_s = 1e9},
-                "pipe_fat"}),
-    [](const auto& info) { return std::string(info.param.name); });
+// A static table, not an inline ::testing::Values(...): gtest prints each
+// NetCase's raw bytes into the test name, and only static storage zeroes the
+// padding those bytes include.
+constexpr NetCase kModes[] = {
+    {TransferMode::kIdeal, {}, "ideal"},
+    {TransferMode::kStopAndWait, {.latency_s = 0.01}, "saw"},
+    {TransferMode::kPipelined, {.latency_s = 0.0}, "pipe_zero"},
+    {TransferMode::kPipelined, {.latency_s = 0.01, .bandwidth_bits_per_s = 1e5}, "pipe_slow"},
+    {TransferMode::kPipelined, {.latency_s = 0.05, .bandwidth_bits_per_s = 1e9}, "pipe_fat"},
+};
+
+INSTANTIATE_TEST_SUITE_P(Modes, Conservation, ::testing::ValuesIn(kModes),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace optrep::vv

@@ -52,19 +52,24 @@ TEST_P(StateTraceTest, RandomGossipConvergesWithOracleChecks) {
   EXPECT_GT(stats.syncs, 0u);
 }
 
+// A static table, not an inline ::testing::Values(...): gtest prints each
+// TraceCase's raw bytes, padding included, into the test name, and only
+// static storage zeroes that padding.
+constexpr TraceCase kTraceCases[] = {
+    {vv::VectorKind::kCrv, vv::TransferMode::kIdeal, 1},
+    {vv::VectorKind::kCrv, vv::TransferMode::kIdeal, 2},
+    {vv::VectorKind::kCrv, vv::TransferMode::kStopAndWait, 3},
+    {vv::VectorKind::kCrv, vv::TransferMode::kPipelined, 4},
+    {vv::VectorKind::kSrv, vv::TransferMode::kIdeal, 5},
+    {vv::VectorKind::kSrv, vv::TransferMode::kIdeal, 6},
+    {vv::VectorKind::kSrv, vv::TransferMode::kStopAndWait, 7},
+    {vv::VectorKind::kSrv, vv::TransferMode::kPipelined, 8},
+    {vv::VectorKind::kBrv, vv::TransferMode::kIdeal, 9},
+    {vv::VectorKind::kBrv, vv::TransferMode::kPipelined, 10},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    KindsModesSeeds, StateTraceTest,
-    ::testing::Values(
-        TraceCase{vv::VectorKind::kCrv, vv::TransferMode::kIdeal, 1},
-        TraceCase{vv::VectorKind::kCrv, vv::TransferMode::kIdeal, 2},
-        TraceCase{vv::VectorKind::kCrv, vv::TransferMode::kStopAndWait, 3},
-        TraceCase{vv::VectorKind::kCrv, vv::TransferMode::kPipelined, 4},
-        TraceCase{vv::VectorKind::kSrv, vv::TransferMode::kIdeal, 5},
-        TraceCase{vv::VectorKind::kSrv, vv::TransferMode::kIdeal, 6},
-        TraceCase{vv::VectorKind::kSrv, vv::TransferMode::kStopAndWait, 7},
-        TraceCase{vv::VectorKind::kSrv, vv::TransferMode::kPipelined, 8},
-        TraceCase{vv::VectorKind::kBrv, vv::TransferMode::kIdeal, 9},
-        TraceCase{vv::VectorKind::kBrv, vv::TransferMode::kPipelined, 10}),
+    KindsModesSeeds, StateTraceTest, ::testing::ValuesIn(kTraceCases),
     [](const auto& info) {
       const TraceCase& tc = info.param;
       std::string name{to_string(tc.kind)};

@@ -26,13 +26,14 @@
 #include "net/client.h"
 #include "net/load_gen.h"
 #include "net/server.h"
-#include "sim/event_loop.h"
+#include "serve_oracle.h"
 #include "vv/compare.h"
-#include "vv/session.h"
 
 namespace optrep::net {
 namespace {
 
+using test::oracle_sync;
+using test::transfer_needed;
 using vv::Ordering;
 using vv::RotatingVector;
 using vv::VectorKind;
@@ -43,30 +44,6 @@ SessionKind to_session_kind(VectorKind k) {
     case VectorKind::kCrv: return SessionKind::kSyncC;
     default: return SessionKind::kSyncS;
   }
-}
-
-bool transfer_needed(Ordering receiver_rel, VectorKind kind) {
-  return receiver_rel == Ordering::kBefore ||
-         (receiver_rel == Ordering::kConcurrent && kind != VectorKind::kBrv);
-}
-
-// The server/client session semantics on shadow state: COMPARE decides the
-// receiver's relation, a needed transfer runs the simulator session, and a
-// reconciled concurrent sync ends with the §2.2 mandated local update —
-// exactly what both endpoints do to their private clones before committing.
-// Returns the receiver's relation to the sender.
-Ordering oracle_sync(RotatingVector& recv, const RotatingVector& send, VectorKind kind,
-                     SiteId own, bool stop_and_wait) {
-  const Ordering rel = vv::compare_fast(recv, send);
-  if (!transfer_needed(rel, kind)) return rel;
-  vv::SyncOptions opt;
-  opt.kind = kind;
-  opt.mode = stop_and_wait ? vv::TransferMode::kStopAndWait : vv::TransferMode::kPipelined;
-  opt.known_relation = rel;
-  sim::EventLoop loop;
-  vv::sync_rotating(loop, recv, send, opt);
-  if (rel == Ordering::kConcurrent) recv.record_update(own);
-  return rel;
 }
 
 std::unique_ptr<Server> start_server(VectorKind kind, std::uint32_t replicas,
@@ -379,9 +356,10 @@ TEST(ServeFaults, CapacityRejectedPushIsWholeSessionNoop) {
   EXPECT_EQ(sv->stats().commits, 0u);
 }
 
-// Rejected HELLOs: a replica index out of range and a session kind that does
-// not match the store's algorithm both produce a typed ACCEPT status, and
-// the server closes without counting a completed session.
+// Rejected HELLOs: a replica index out of range, a session kind that does
+// not match the store's algorithm, and an undefined kind nibble all produce a
+// typed ACCEPT status, and the server closes without counting a completed
+// session.
 TEST(ServeFaults, BadHellosGetTypedAcceptStatuses) {
   auto sv = start_server(VectorKind::kCrv, /*replicas=*/2, 0, 1);
   const SyncClient::Options copt{.port = sv->port()};
@@ -412,7 +390,25 @@ TEST(ServeFaults, BadHellosGetTypedAcceptStatuses) {
     EXPECT_FALSE(res.ok);
     EXPECT_EQ(res.accept, AcceptStatus::kBadKind);
   }
-  EXPECT_TRUE(poll_until([&] { return sv->stats().bad_hellos >= 2; }));
+  {
+    // Kind nibbles 4..15 name no session. Masked to their low two bits they
+    // would pass as defined kinds: 4/8/12 as COMPARE, 6/10/14 as this
+    // store's SYNCC, and 7 (kind byte 0x07) as SYNCS against an SRV store.
+    for (std::uint8_t nibble = 4; nibble <= kHelloKindMask; ++nibble) {
+      SyncClient cl(copt);
+      std::string err;
+      ASSERT_TRUE(cl.connect(&err)) << err;
+      RotatingVector mine;
+      SyncClient::SessionSpec bad;
+      bad.kind = static_cast<SessionKind>(nibble);
+      bad.replica = 0;
+      bad.mine = &mine;
+      const SyncClient::SessionResult res = cl.run_session(bad);
+      EXPECT_FALSE(res.ok) << "kind nibble " << int{nibble};
+      EXPECT_EQ(res.accept, AcceptStatus::kBadKind) << "kind nibble " << int{nibble};
+    }
+  }
+  EXPECT_TRUE(poll_until([&] { return sv->stats().bad_hellos >= 2 + 12; }));
   EXPECT_EQ(sv->stats().sessions_completed, 0u);
 }
 

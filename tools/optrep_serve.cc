@@ -13,8 +13,6 @@
 //                [--capacity=N]               max sites per replica (default 1024)
 //                [--prefill=N]                seeded local updates per replica
 //                [--seed=N]
-//                [--burst=N]                  pipelined sender batch (default 32)
-//                [--level-triggered]          epoll LT fallback (default ET)
 //                [--port-file=FILE]           write the bound port (CI handshake)
 //                [--stats-out=FILE]           write optrep.serve.stats/v1 on exit
 //                [--max-seconds=N]            exit by deadline (0 = run forever)
@@ -41,7 +39,7 @@ void on_signal(int) { g_stop = 1; }
   std::fprintf(stderr,
                "usage: optrep_serve [--host=A] [--port=N] [--workers=N]\n"
                "       [--kind=brv|crv|srv] [--replicas=N] [--capacity=N]\n"
-               "       [--prefill=N] [--seed=N] [--burst=N] [--level-triggered]\n"
+               "       [--prefill=N] [--seed=N]\n"
                "       [--port-file=FILE] [--stats-out=FILE] [--max-seconds=N]\n");
   std::exit(2);
 }
@@ -125,10 +123,6 @@ int main(int argc, char** argv) {
       prefill = cli::parse_u32(v, usage, "--prefill must be a non-negative integer");
     } else if (cli::take(argv[i], "--seed", &v)) {
       seed = cli::parse_u64(v, usage, "--seed must be a non-negative integer");
-    } else if (cli::take(argv[i], "--burst", &v)) {
-      cfg.burst = cli::parse_positive_u32(v, usage, "--burst must be a positive integer");
-    } else if (cli::take(argv[i], "--level-triggered", &v)) {
-      cfg.edge_triggered = false;
     } else if (cli::take(argv[i], "--port-file", &v)) {
       if (v.empty()) usage("--port-file needs a file path");
       port_file = v;
