@@ -18,7 +18,6 @@
 #include "graph/causal_graph.h"
 #include "sim/event_loop.h"
 #include "sim/frame_link.h"
-#include "sim/link.h"
 #include "vv/session.h"  // TransferMode
 
 namespace optrep::graph {

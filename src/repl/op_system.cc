@@ -3,12 +3,13 @@
 #include <algorithm>
 
 #include "obs/prof.h"
+#include "repl/vector_sync.h"
 
 namespace optrep::repl {
 
 void OpSystem::create_object(SiteId site, ObjectId obj, std::string content) {
-  OPTREP_CHECK_MSG(!has_replica(site, obj), "object already exists on site");
-  OpReplica& r = sites_[site][obj];
+  OPTREP_CHECK_MSG(!replicas_.has(site, obj), "object already exists on site");
+  OpReplica& r = replicas_.get_or_create(site, obj);
   const UpdateId op = fresh_op(site, obj);
   r.graph.create(op, static_cast<std::uint32_t>(content.size()));
   contents_[obj][op] = std::move(content);
@@ -17,7 +18,7 @@ void OpSystem::create_object(SiteId site, ObjectId obj, std::string content) {
 }
 
 void OpSystem::update(SiteId site, ObjectId obj, std::string content) {
-  OpReplica& r = replica_mut(site, obj);
+  OpReplica& r = replicas_.at(site, obj);
   const UpdateId op = fresh_op(site, obj);
   r.graph.append(op, static_cast<std::uint32_t>(content.size()));
   contents_[obj][op] = std::move(content);
@@ -29,12 +30,10 @@ OpSyncOutcome OpSystem::sync(SiteId dst, SiteId src, ObjectId obj) {
   OPTREP_SPAN("op.sync");
   OPTREP_CHECK_MSG(dst != src, "a site cannot synchronize with itself");
   OpSyncOutcome out;
-  if (!has_replica(src, obj)) {
-    out.action = OpSyncOutcome::Action::kSkipped;
-    return out;
-  }
-  const OpReplica& sender = sites_[src][obj];
-  OpReplica& receiver = sites_[dst][obj];  // created empty if absent
+  out.action = OpSyncOutcome::Action::kSkipped;
+  if (!replicas_.has(src, obj)) return out;
+  const OpReplica& sender = replicas_.at(src, obj);
+  OpReplica& receiver = replicas_.get_or_create(dst, obj);  // created empty if absent
 
   const vv::Ordering rel = receiver.graph.compare(sender.graph);
   out.relation = rel;
@@ -145,42 +144,22 @@ void OpSystem::publish_metrics() {
   metrics_.counter("op.reconciliations").set(totals_.reconciliations);
   metrics_.counter("op.state_fallbacks").set(totals_.state_fallbacks);
   metrics_.counter("op.state_fallback_bytes").set(totals_.state_fallback_bytes);
-  metrics_.gauge("sim.queue_depth").set(static_cast<std::int64_t>(loop_.queue_depth()));
-  metrics_.gauge("sim.max_queue_depth").set(static_cast<std::int64_t>(loop_.max_queue_depth()));
-  metrics_.gauge("sim.executed_events").set(static_cast<std::int64_t>(loop_.executed_events()));
-  metrics_.gauge("sim.cancelled_events").set(static_cast<std::int64_t>(loop_.cancelled_events()));
+  publish_loop_gauges(metrics_, loop_);
   metrics_.gauge("repl.divergence").set(static_cast<std::int64_t>(divergence()));
 }
 
 std::uint64_t OpSystem::divergence() const {
   // Per-object union of operation ids across all replicas.
   std::unordered_map<ObjectId, std::unordered_set<UpdateId>> known;
-  for (const auto& [site, objs] : sites_) {
-    for (const auto& [obj, r] : objs) {
-      auto& k = known[obj];
-      for (const graph::Node& n : r.graph.all_nodes()) k.insert(n.id);
-    }
-  }
+  replicas_.for_each([&](SiteId, ObjectId obj, const OpReplica& r) {
+    auto& k = known[obj];
+    for (const graph::Node& n : r.graph.all_nodes()) k.insert(n.id);
+  });
   std::uint64_t d = 0;
-  for (const auto& [site, objs] : sites_) {
-    for (const auto& [obj, r] : objs) {
-      d += known.at(obj).size() - r.graph.node_count();
-    }
-  }
+  replicas_.for_each([&](SiteId, ObjectId obj, const OpReplica& r) {
+    d += known.at(obj).size() - r.graph.node_count();
+  });
   return d;
-}
-
-bool OpSystem::has_replica(SiteId site, ObjectId obj) const {
-  auto sit = sites_.find(site);
-  return sit != sites_.end() && sit->second.contains(obj);
-}
-
-const OpReplica& OpSystem::replica(SiteId site, ObjectId obj) const {
-  auto sit = sites_.find(site);
-  OPTREP_CHECK_MSG(sit != sites_.end(), "site hosts nothing");
-  auto rit = sit->second.find(obj);
-  OPTREP_CHECK_MSG(rit != sit->second.end(), "no replica of object on site");
-  return rit->second;
 }
 
 std::string OpSystem::materialize(SiteId site, ObjectId obj) const {
@@ -204,28 +183,6 @@ std::string OpSystem::materialize(SiteId site, ObjectId obj) const {
   return out;
 }
 
-bool OpSystem::replicas_consistent(ObjectId obj) const {
-  const OpReplica* first = nullptr;
-  for (const auto& [site, objs] : sites_) {
-    auto it = objs.find(obj);
-    if (it == objs.end()) continue;
-    if (first == nullptr) {
-      first = &it->second;
-      continue;
-    }
-    if (!(it->second.graph == first->graph)) return false;
-  }
-  return true;
-}
-
-OpReplica& OpSystem::replica_mut(SiteId site, ObjectId obj) {
-  auto sit = sites_.find(site);
-  OPTREP_CHECK_MSG(sit != sites_.end(), "site hosts nothing");
-  auto rit = sit->second.find(obj);
-  OPTREP_CHECK_MSG(rit != sit->second.end(), "no replica of object on site");
-  return rit->second;
-}
-
 UpdateId OpSystem::fresh_op(SiteId site, ObjectId obj) {
   return UpdateId{site, ++seq_[site][obj]};
 }
@@ -241,12 +198,9 @@ void OpSystem::causal_converge_check(ObjectId obj, const UpdateId& op) {
   // check at every origin/deliver closes each trace exactly when the
   // operation stops diverging. Graphs are ancestor-closed, so containment of
   // the node id is exact coverage.
-  for (const auto& [site, objs] : sites_) {
-    auto it = objs.find(obj);
-    if (it == objs.end()) continue;
-    if (!it->second.graph.contains(op)) return;
+  if (replicas_.all_cover(obj, [&](const OpReplica& r) { return r.graph.contains(op); })) {
+    cfg_.causal->converge(loop_.now(), obj, op.site, op.seq);
   }
-  cfg_.causal->converge(loop_.now(), obj, op.site, op.seq);
 }
 
 void OpSystem::retain(OpReplica& r, UpdateId op) {

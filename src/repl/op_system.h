@@ -17,6 +17,7 @@
 #include "graph/sync_graph.h"
 #include "obs/causal.h"
 #include "obs/metrics.h"
+#include "repl/replica_map.h"
 #include "sim/event_loop.h"
 
 namespace optrep::repl {
@@ -83,14 +84,18 @@ class OpSystem {
   // dst pulls src's operations; fast-forwards or reconciles the sink.
   OpSyncOutcome sync(SiteId dst, SiteId src, ObjectId obj);
 
-  bool has_replica(SiteId site, ObjectId obj) const;
-  const OpReplica& replica(SiteId site, ObjectId obj) const;
+  bool has_replica(SiteId site, ObjectId obj) const { return replicas_.has(site, obj); }
+  const OpReplica& replica(SiteId site, ObjectId obj) const { return replicas_.at(site, obj); }
+  std::vector<SiteId> hosts_of(ObjectId obj) const { return replicas_.hosts_of(obj); }
 
   // Deterministic materialized state: operation contents in a topological,
   // id-tie-broken order. Two replicas with equal graphs materialize equally.
   std::string materialize(SiteId site, ObjectId obj) const;
 
-  bool replicas_consistent(ObjectId obj) const;
+  bool replicas_consistent(ObjectId obj) const {
+    return replicas_.all_agree(
+        obj, [](const OpReplica& r, const OpReplica& first) { return r.graph == first.graph; });
+  }
 
   // Residual divergence: over every replica, the number of operations in the
   // per-object union of all replicas' causal graphs that this replica has not
@@ -121,7 +126,6 @@ class OpSystem {
   obs::Registry& metrics() { return metrics_; }
 
  private:
-  OpReplica& replica_mut(SiteId site, ObjectId obj);
   UpdateId fresh_op(SiteId site, ObjectId obj);
   void retain(OpReplica& r, UpdateId op);
   void publish_metrics();
@@ -131,7 +135,7 @@ class OpSystem {
 
   Config cfg_;
   sim::EventLoop loop_;
-  std::unordered_map<SiteId, std::unordered_map<ObjectId, OpReplica>> sites_;
+  ReplicaMap<OpReplica> replicas_;
   // Per-site, per-object operation sequence (a site's ops are serial, §2.1).
   std::unordered_map<SiteId, std::unordered_map<ObjectId, std::uint64_t>> seq_;
   // Operation contents, keyed per object (contents travel as node payloads;

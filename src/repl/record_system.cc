@@ -1,21 +1,19 @@
 #include "repl/record_system.h"
 
-#include "obs/export.h"
 #include "obs/prof.h"
 
 namespace optrep::repl {
 
 void RecordSystem::create_object(SiteId site, ObjectId obj, const std::string& key,
                                  std::string value) {
-  OPTREP_CHECK_MSG(!has_replica(site, obj), "object already exists on site");
-  RecordReplica& r = sites_[site][obj];
-  apply_put(r, site, key, std::move(value));
+  OPTREP_CHECK_MSG(!replicas_.has(site, obj), "object already exists on site");
+  apply_put(replicas_.get_or_create(site, obj), site, key, std::move(value));
 }
 
 void RecordSystem::put(SiteId site, ObjectId obj, const std::string& key,
                        std::string value) {
   OPTREP_SPAN("records.put");
-  apply_put(replica_mut(site, obj), site, key, std::move(value));
+  apply_put(replicas_.at(site, obj), site, key, std::move(value));
 }
 
 void RecordSystem::apply_put(RecordReplica& r, SiteId site, const std::string& key,
@@ -27,130 +25,54 @@ void RecordSystem::apply_put(RecordReplica& r, SiteId site, const std::string& k
   cell.flagged = false;  // a fresh local write supersedes any flag
 }
 
-const RecordReplica& RecordSystem::replica(SiteId site, ObjectId obj) const {
-  auto sit = sites_.find(site);
-  OPTREP_CHECK_MSG(sit != sites_.end(), "site hosts nothing");
-  auto rit = sit->second.find(obj);
-  OPTREP_CHECK_MSG(rit != sit->second.end(), "no replica of object on site");
-  return rit->second;
-}
-
-RecordReplica& RecordSystem::replica_mut(SiteId site, ObjectId obj) {
-  auto sit = sites_.find(site);
-  OPTREP_CHECK_MSG(sit != sites_.end(), "site hosts nothing");
-  auto rit = sit->second.find(obj);
-  OPTREP_CHECK_MSG(rit != sit->second.end(), "no replica of object on site");
-  return rit->second;
-}
-
-bool RecordSystem::has_replica(SiteId site, ObjectId obj) const {
-  auto sit = sites_.find(site);
-  return sit != sites_.end() && sit->second.contains(obj);
-}
-
 RecordSystem::SyncResult RecordSystem::sync(SiteId dst, SiteId src, ObjectId obj) {
   OPTREP_SPAN("records.sync");
   OPTREP_CHECK_MSG(dst != src, "a site cannot synchronize with itself");
   SyncResult out;
-  if (!has_replica(src, obj)) return out;
-  const RecordReplica& sender = sites_[src][obj];
-  RecordReplica& receiver = sites_[dst][obj];
-
-  // Under fault injection an earlier failed sync may have left the receiver
-  // partially joined, so the lossy path uses the exact comparison.
-  const vv::Ordering rel = cfg_.net.faults.enabled()
-                               ? vv::compare_full(receiver.vector, sender.vector)
-                               : vv::compare_fast(receiver.vector, sender.vector);
-  out.relation = rel;
-  if (rel == vv::Ordering::kEqual || rel == vv::Ordering::kAfter) {
-    out.report.bits_fwd = vv::compare_cost_bits(cfg_.cost) / 2;
-    out.report.bits_rev = vv::compare_cost_bits(cfg_.cost) / 2;
-    totals_.sessions += 1;
-    totals_.bits += out.report.total_bits();
-    publish_metrics();
-    return out;
-  }
+  const RecordReplica* sender = replicas_.find(src, obj);
+  if (sender == nullptr) return out;
+  RecordReplica& receiver = replicas_.get_or_create(dst, obj);
 
   // Snapshot the receiver's causal knowledge before the vectors join: the
   // semantic detector judges each record against what each side knew at
   // write time.
-  const vv::VersionVector dst_pre = receiver.vector.to_version_vector();
-
-  vv::SyncOptions opt;
-  opt.kind = cfg_.kind;
-  opt.mode = cfg_.mode;
-  opt.net = cfg_.net;
-  opt.cost = cfg_.cost;
-  opt.known_relation = rel;
-  opt.tracer = cfg_.tracer;
-  opt.trace_session = totals_.sessions + 1;
-  opt.metrics = &metrics_;
-  out.report = vv::sync_with_recovery(loop_, receiver.vector, sender.vector, opt);
-  out.report.bits_fwd += vv::compare_cost_bits(cfg_.cost) / 2;
-  out.report.bits_rev += vv::compare_cost_bits(cfg_.cost) / 2;
-
-  if (!out.report.converged) {
-    // Retry budget exhausted. sync_with_recovery left the vector untouched,
-    // so the failed sync is a complete no-op — the vector never claims
-    // knowledge of records that did not arrive (the semantic detector would
-    // otherwise skip merging them later). A later sync redoes the work.
-    ++totals_.sync_failures;
-    totals_.sessions += 1;
-    totals_.bits += out.report.total_bits();
-    totals_.retries += out.report.retries;
-    totals_.faults_injected += out.report.total_faults();
-    totals_.recovery_bits += out.report.recovery_bits;
-    publish_metrics();
-    return out;
-  }
-
-  if (rel == vv::Ordering::kBefore) {
+  vv::VersionVector dst_pre;
+  const VectorSync::Outcome step = vsync_.run(
+      loop_, receiver.vector, sender->vector,
+      {dst, src, totals_.sessions + 1, &metrics_, nullptr}, [&](vv::Ordering) {
+        dst_pre = receiver.vector.to_version_vector();
+        return true;
+      });
+  out.relation = step.relation;
+  out.report = step.report;
+  // A failed sync leaves the vector untouched, so the records stay too: the
+  // vector never claims records that did not arrive (the semantic detector
+  // would skip merging them when a later sync redoes the work).
+  if (step.merged && step.relation == vv::Ordering::kBefore) {
     // Plain state transfer: the sender's records strictly supersede ours.
-    receiver.records = sender.records;
-  } else {
+    receiver.records = sender->records;
+  } else if (step.merged) {
     // Syntactic conflict (O(1) detection) → semantic detector (§1).
     out.syntactic_conflict = true;
     ++totals_.syntactic_conflicts;
-    out.semantic_conflicts = semantic_merge(receiver, sender, dst_pre);
+    out.semantic_conflicts = semantic_merge(receiver, *sender, dst_pre);
     totals_.semantic_conflicts += out.semantic_conflicts;
     if (out.semantic_conflicts == 0) ++totals_.syntactic_only;
     // §2.2: reconciliation ends with a separate local update.
     receiver.vector.record_update(dst);
   }
-
-  totals_.sessions += 1;
-  totals_.bits += out.report.total_bits();
-  totals_.retries += out.report.retries;
-  totals_.faults_injected += out.report.total_faults();
-  totals_.recovery_bits += out.report.recovery_bits;
-  // Table 2 bounds a single fault-free session; retried traffic is accounted
-  // separately (recovery_bits), so the bound check only runs lossless.
-  if (!cfg_.net.faults.enabled() &&
-      !obs::within_table2_bound(cfg_.cost, cfg_.kind, out.report)) {
-    ++totals_.bound_violations;
-    metrics_.counter("obs.bound_violations").inc();
-  }
+  vsync_.account(out.report, totals_, metrics_, loop_.now());
   publish_metrics();
   return out;
 }
 
 void RecordSystem::publish_metrics() {
-  metrics_.counter("records.sessions").set(totals_.sessions);
+  vsync_.publish(metrics_, totals_, loop_);
   metrics_.counter("records.syntactic_conflicts").set(totals_.syntactic_conflicts);
   metrics_.counter("records.syntactic_only").set(totals_.syntactic_only);
   metrics_.counter("records.semantic_conflicts").set(totals_.semantic_conflicts);
   metrics_.counter("records.records_merged").set(totals_.records_merged);
   metrics_.counter("records.flagged_records").set(totals_.flagged_records);
-  if (cfg_.net.faults.enabled()) {
-    metrics_.counter("records.retries").set(totals_.retries);
-    metrics_.counter("records.sync_failures").set(totals_.sync_failures);
-    metrics_.counter("records.faults_injected").set(totals_.faults_injected);
-    metrics_.counter("records.recovery_bits").set(totals_.recovery_bits);
-  }
-  metrics_.gauge("sim.queue_depth").set(static_cast<std::int64_t>(loop_.queue_depth()));
-  metrics_.gauge("sim.max_queue_depth").set(static_cast<std::int64_t>(loop_.max_queue_depth()));
-  metrics_.gauge("sim.executed_events").set(static_cast<std::int64_t>(loop_.executed_events()));
-  metrics_.gauge("sim.cancelled_events").set(static_cast<std::int64_t>(loop_.cancelled_events()));
 }
 
 std::size_t RecordSystem::semantic_merge(RecordReplica& dst, const RecordReplica& src,
@@ -202,20 +124,6 @@ std::size_t RecordSystem::semantic_merge(RecordReplica& dst, const RecordReplica
     }
   }
   return true_conflicts;
-}
-
-bool RecordSystem::replicas_consistent(ObjectId obj) const {
-  const RecordReplica* first = nullptr;
-  for (const auto& [site, objs] : sites_) {
-    auto it = objs.find(obj);
-    if (it == objs.end()) continue;
-    if (first == nullptr) {
-      first = &it->second;
-      continue;
-    }
-    if (!(it->second.records == first->records)) return false;
-  }
-  return true;
 }
 
 }  // namespace optrep::repl

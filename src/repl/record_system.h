@@ -20,13 +20,13 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/cost_model.h"
 #include "common/ids.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "repl/replica_map.h"
+#include "repl/vector_sync.h"
 #include "sim/event_loop.h"
 #include "vv/compare.h"
 #include "vv/rotating_vector.h"
@@ -70,7 +70,9 @@ class RecordSystem {
     obs::Tracer* tracer{nullptr};
   };
 
-  explicit RecordSystem(Config cfg) : cfg_(cfg) {}
+  explicit RecordSystem(Config cfg)
+      : cfg_(cfg),
+        vsync_("records", cfg_.kind, cfg_.mode, cfg_.net, cfg_.cost, cfg_.tracer, nullptr) {}
 
   const Config& config() const { return cfg_; }
 
@@ -81,8 +83,8 @@ class RecordSystem {
   // Write one record on site's replica (an update in the §2.1 sense).
   void put(SiteId site, ObjectId obj, const std::string& key, std::string value);
 
-  const RecordReplica& replica(SiteId site, ObjectId obj) const;
-  bool has_replica(SiteId site, ObjectId obj) const;
+  const RecordReplica& replica(SiteId site, ObjectId obj) const { return replicas_.at(site, obj); }
+  bool has_replica(SiteId site, ObjectId obj) const { return replicas_.has(site, obj); }
 
   struct SyncResult {
     vv::Ordering relation{vv::Ordering::kEqual};
@@ -95,24 +97,18 @@ class RecordSystem {
   // conflict — the semantic detector merges record-wise.
   SyncResult sync(SiteId dst, SiteId src, ObjectId obj);
 
-  bool replicas_consistent(ObjectId obj) const;
+  bool replicas_consistent(ObjectId obj) const {
+    return replicas_.all_agree(obj, [](const RecordReplica& r, const RecordReplica& first) {
+      return r.records == first.records;
+    });
+  }
 
-  struct Totals {
-    std::uint64_t sessions{0};
-    std::uint64_t bits{0};
+  struct Totals : SyncTotals {
     std::uint64_t syntactic_conflicts{0};
     std::uint64_t syntactic_only{0};       // triggers the detector dismissed entirely
     std::uint64_t semantic_conflicts{0};   // truly conflicting record pairs
     std::uint64_t records_merged{0};       // silently merged on conflict syncs
     std::uint64_t flagged_records{0};      // kFlag policy only
-    std::uint64_t bound_violations{0};     // sessions exceeding Table 2 (+COMPARE)
-    // Fault injection (net.faults): session re-runs, sessions abandoned after
-    // the retry budget (rolled back, redone by a later sync), injected
-    // message faults, and the model-bit traffic attributable to recovery.
-    std::uint64_t retries{0};
-    std::uint64_t sync_failures{0};
-    std::uint64_t faults_injected{0};
-    std::uint64_t recovery_bits{0};
   };
   const Totals& totals() const { return totals_; }
 
@@ -123,7 +119,6 @@ class RecordSystem {
 
  private:
   void publish_metrics();
-  RecordReplica& replica_mut(SiteId site, ObjectId obj);
   void apply_put(RecordReplica& r, SiteId site, const std::string& key,
                  std::string value);
   // The semantic detector + resolver: merge src's records into dst, judging
@@ -133,8 +128,9 @@ class RecordSystem {
                              const vv::VersionVector& dst_pre);
 
   Config cfg_;
+  VectorSync vsync_;
   sim::EventLoop loop_;
-  std::unordered_map<SiteId, std::unordered_map<ObjectId, RecordReplica>> sites_;
+  ReplicaMap<RecordReplica> replicas_;
   Totals totals_;
   obs::Registry metrics_;
 };

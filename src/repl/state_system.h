@@ -7,30 +7,30 @@
 // against two oracles:
 //   - a traditional VersionVector carried next to every replica (values must
 //     match after every operation), and
-//   - the ground-truth causal history (the set of update ids a replica has
-//     absorbed), against which conflict detection is validated.
+//   - the ground-truth causal history (the predecessor set of update ids a
+//     replica has absorbed), against which conflict detection is validated.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cost_model.h"
 #include "common/ids.h"
+#include "metadata/predecessor_set.h"
 #include "obs/causal.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "repl/replica_map.h"
+#include "repl/vector_sync.h"
 #include "rt/olock.h"
 #include "rt/shard.h"
 #include "rt/thread_pool.h"
 #include "sim/event_loop.h"
-#include "sim/link.h"
 #include "vv/compare.h"
 #include "vv/rotating_vector.h"
 #include "vv/session.h"
@@ -58,7 +58,7 @@ struct StateReplica {
 
   // Oracles (not part of the protocol state).
   vv::VersionVector oracle_vector;
-  std::unordered_set<UpdateId> oracle_history;
+  meta::PredecessorSet oracle_history;
 };
 
 // What a synchronization session did.
@@ -186,16 +186,20 @@ class StateSystem {
   // rt.olock.* counters once a batch has run).
   const rt::OLock::Counters& olock_totals() const { return olock_totals_; }
 
-  bool has_replica(SiteId site, ObjectId obj) const;
-  const StateReplica& replica(SiteId site, ObjectId obj) const;
+  bool has_replica(SiteId site, ObjectId obj) const { return replicas_.has(site, obj); }
+  const StateReplica& replica(SiteId site, ObjectId obj) const { return replicas_.at(site, obj); }
+  std::vector<SiteId> hosts_of(ObjectId obj) const { return replicas_.hosts_of(obj); }
 
   // All sites hosting obj agree on payload and metadata values.
-  bool replicas_consistent(ObjectId obj) const;
+  bool replicas_consistent(ObjectId obj) const {
+    return replicas_.all_agree(obj, [](const StateReplica& r, const StateReplica& first) {
+      return r.data == first.data &&
+             r.vector.to_version_vector() == first.vector.to_version_vector();
+    });
+  }
 
   // Aggregated traffic over all sync sessions so far.
-  struct Totals {
-    std::uint64_t sessions{0};
-    std::uint64_t bits{0};
+  struct Totals : SyncTotals {
     std::uint64_t bytes{0};
     std::uint64_t msgs{0};
     // Frame batching (net.frame_budget): coalesced wire frames and their
@@ -211,17 +215,6 @@ class StateSystem {
     std::uint64_t skips{0};            // observed γ (honored segment skips)
     std::uint64_t conflicts_detected{0};
     std::uint64_t reconciliations{0};
-    // Fault injection (net.faults): session re-runs, sessions that never
-    // converged within the retry budget, injected message faults, and the
-    // model-bit traffic attributable to recovery attempts.
-    std::uint64_t retries{0};
-    std::uint64_t sync_failures{0};
-    std::uint64_t faults_injected{0};
-    std::uint64_t recovery_bits{0};
-    // Sessions whose measured traffic exceeded the Table 2 upper bound for
-    // the configured kind (expected 0 in kIdeal mode; pipelined runs may
-    // overshoot by β, §3.1 — either way it is never silent).
-    std::uint64_t bound_violations{0};
   };
   const Totals& totals() const { return totals_; }
 
@@ -233,8 +226,6 @@ class StateSystem {
 
   // Simulated clock shared by all sessions.
   sim::Time now() const { return loop_.now(); }
-
-  std::vector<SiteId> hosts_of(ObjectId obj) const;
 
   // Residual divergence: distance of the fleet from the converged state.
   // Counts, over every (replica, site) pair, vector entries strictly below
@@ -263,49 +254,42 @@ class StateSystem {
   void sample_timeline();
 
  private:
-  // Deferred causal side effects of one parallel session: emitted at commit
-  // time, in spec order, against the shared tracer and the shadow histories.
+  // The causal side effects of one update or session, emitted once it
+  // commits: inline for sequential calls, in spec order for run_batch.
   struct SessionEffects {
-    std::vector<UpdateId> fresh;  // update ids the receiver learned
-    bool has_origin{false};       // local update / reconciliation update ran
-    UpdateId origin{};
+    std::vector<UpdateId> fresh;     // update ids the receiver learned
+    std::optional<UpdateId> origin;  // local update / reconciliation update
   };
 
-  StateReplica& replica_mut(SiteId site, ObjectId obj);
-  void apply_update(StateReplica& r, SiteId site, ObjectId obj, std::string entry);
-  // The protocol core of sync(): COMPARE, oracle cross-check, the session
-  // switch, and all receiver-state mutation. Pure over its arguments —
-  // `loop`, `metrics` and `causal` are the legacy members for sequential
-  // calls and per-session/per-shard instances for parallel ones. With
-  // `fx == nullptr` causal events are emitted inline (legacy); otherwise
-  // they are recorded into *fx for spec-order commit. A nonzero `fault_salt`
-  // re-seeds the session's fault stream with sim::fault_stream_seed — the
-  // batch engine passes the spec index so sessions on fresh local event
-  // loops stay decorrelated (the sequential engine decorrelates via the
-  // shared loop's cumulative event count, which parallel sessions cannot
-  // observe without serializing; see run_batch's doc for the consequence).
-  SyncOutcome sync_pair(StateReplica& receiver, StateReplica& sender,
-                        SiteId dst, SiteId src, ObjectId obj,
-                        sim::EventLoop& loop, obs::Registry* metrics,
-                        obs::CausalTracer* causal, std::uint64_t session_no,
-                        SessionEffects* fx, std::uint64_t fault_salt = 0);
-  // The accounting tail of sync(): totals and the Table 2 bound check.
+  // A local update's effect on one replica (payload, vector, oracles).
+  UpdateId apply_update(StateReplica& r, SiteId site, std::string entry);
+  // The system half of sync(): the shared vector-sync step (VectorSync::run),
+  // then the manual hold, the payload/oracle effects and the §2.2 update,
+  // recording the causal effects into fx. Pure over its arguments — `loop`
+  // and the contact's registry and tracer are the system's own for
+  // sequential calls and per-session/per-shard instances for parallel ones.
+  SyncOutcome sync_pair(StateReplica& receiver, StateReplica& sender, sim::EventLoop& loop,
+                        const VectorSync::Contact& c, SessionEffects& fx);
+  // The accounting tail of sync(): VectorSync::account plus the
+  // state-transfer totals.
   void finish_session(const SyncOutcome& out);
-  // Causal tracing helpers (no-ops when cfg_.causal is null): update ids the
-  // receiver is about to learn, in deterministic (site, seq) order; emit the
-  // kDeliver edges for them; close any trace every host now covers.
-  std::vector<UpdateId> causal_fresh(const StateReplica& sender,
-                                     const StateReplica& receiver,
-                                     const obs::CausalTracer* causal) const;
-  void causal_converge_check(ObjectId obj, const UpdateId& u);
+  // Causal emission (no-op without a tracer) of one committed update or
+  // session at time `at`: a kDeliver per learned update carried by `span`
+  // from src to dst, then the origin; each trace closes (kConverge) once
+  // every host of obj holds the update — judged against run_batch's
+  // spec-order `shadow` histories when given, else the live replicas.
+  void emit_effects(double at, ObjectId obj, const SessionEffects& fx, SiteId src = {},
+                    SiteId dst = {}, std::uint64_t span = 0,
+                    const ReplicaMap<meta::PredecessorSet>* shadow = nullptr);
   void check_replica(const StateReplica& r) const;
   void publish_metrics();
   void sample_timeline_at(double x);
   static void time_sample_thunk(void* ctx, sim::Time t);
 
   Config cfg_;
+  VectorSync vsync_;
   sim::EventLoop loop_;
-  std::unordered_map<SiteId, std::unordered_map<ObjectId, StateReplica>> sites_;
+  ReplicaMap<StateReplica> replicas_;
   Totals totals_;
   obs::Registry metrics_;
   std::uint64_t sampled_at_sessions_{~std::uint64_t{0}};

@@ -16,8 +16,9 @@
 //   drop      message discarded.
 //   duplicate a second copy is delivered immediately after the original
 //             (scheduled at `now`, so it lands behind the current dispatch).
-//   reorder   delivery is held back by `reorder_hold_s`, landing behind
-//             messages that arrive within the hold.
+//   reorder   delivery is held back by the injector's hold (one link
+//             latency plus ε in the vv sessions), landing behind messages
+//             that arrive within the hold.
 //
 // Duplicated/held copies are delivered directly — they are not re-rolled, so
 // a session with f in-flight messages schedules at most 2f deliveries and
@@ -32,7 +33,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "sim/event_loop.h"
-#include "sim/link.h"
+#include "sim/frame_link.h"
 
 namespace optrep::sim {
 
@@ -76,12 +77,13 @@ class FaultInjector {
   // corruption was *detected* by the decoder (typed decode error).
   using Corrupter = std::function<bool(Msg&, Rng&)>;
 
+  // `hold_s`: how long a reordered message is held back.
   FaultInjector(EventLoop* loop, const NetConfig::FaultConfig& cfg, std::uint64_t stream_salt,
-                Time default_hold_s)
+                Time hold_s)
       : loop_(loop),
         cfg_(cfg),
         rng_(fault_stream_seed(cfg.seed, stream_salt)),
-        hold_s_(cfg.reorder_hold_s > 0 ? cfg.reorder_hold_s : default_hold_s) {
+        hold_s_(hold_s) {
     OPTREP_CHECK(loop != nullptr);
   }
 

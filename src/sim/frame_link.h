@@ -1,4 +1,13 @@
-// Frame-batched transport over the Link timing model.
+// Simulated unidirectional network links with frame batching.
+//
+// A link has a propagation latency and a (possibly infinite) bandwidth and
+// delivers messages FIFO: a message handed to the link at time t starts
+// transmitting when the link is free, occupies the link for
+// model_bits/bandwidth seconds, and arrives latency seconds after its last
+// bit left. Senders that want the paper's network pipelining (§3.1) stream
+// by sending one message and scheduling their continuation at the returned
+// free time; this is what lets a HALT cancel not-yet-transmitted elements,
+// so the β = bandwidth·rtt overshoot of pipelining emerges from the model.
 //
 // A FrameLink coalesces back-to-back same-direction messages into wire
 // frames: one event-loop dispatch delivers (and one frame-sizer call encodes)
@@ -8,10 +17,8 @@
 //   - a direction turn (the reverse link transmitting), or
 //   - the NetConfig::frame_budget message cap.
 //
-// Timing stays *per message* and exactly matches sim::Link: each message
-// starts when the link frees, occupies it for model_bits/bandwidth seconds,
-// and arrives latency after its last bit. Coalescing only merges the event
-// *dispatches*: a delivery event walks every queued message whose arrival
+// Timing stays *per message* whatever the budget. Coalescing only merges the
+// event *dispatches*: a delivery event walks every queued message whose arrival
 // precedes the loop's next event, advancing the clock to each message's exact
 // arrival (EventLoop::advance_to). At equal times queued deliveries run
 // before other events, which reproduces the unframed schedule order (those
@@ -33,9 +40,9 @@
 // per-message figures (§3.3 accounting is untouched by framing — asserted by
 // tests). frames/framed_wire_bytes describe the batched realistic encoding:
 // the installed FrameSizer prices each closed frame over the messages
-// actually transmitted. With frame_budget == 0 the link degrades to the
-// legacy per-message behavior — same events, same taps, every message its
-// own frame.
+// actually transmitted. With frame_budget == 0 the link runs unframed: one
+// delivery event and one hand-off tap per message, every message its own
+// frame.
 #pragma once
 
 #include <algorithm>
@@ -47,9 +54,44 @@
 
 #include "common/check.h"
 #include "sim/event_loop.h"
-#include "sim/link.h"
 
 namespace optrep::sim {
+
+struct LinkStats {
+  std::uint64_t messages{0};
+  std::uint64_t model_bits{0};   // §3.3 cost-model size
+  std::uint64_t wire_bytes{0};   // realistic byte-aligned encoding
+  std::uint64_t frames{0};       // coalesced wire frames (== messages unframed)
+  std::uint64_t framed_wire_bytes{0};  // realistic bytes under frame batching
+};
+
+struct NetConfig {
+  // Deterministic per-message fault injection (sim/fault_link.h). Rates are
+  // independent probabilities rolled at delivery time, in this order:
+  // corrupt → drop → duplicate → reorder. All zero (the default) disables
+  // injection entirely — no generator is constructed and the delivery path
+  // is bit-identical to the fault-free build.
+  struct FaultConfig {
+    double drop{0};       // message discarded
+    double duplicate{0};  // a second copy delivered right after the first
+    double reorder{0};    // delivery held back past later arrivals
+    double corrupt{0};    // payload bit-flipped; detected and discarded (CRC)
+    std::uint64_t seed{1};
+
+    bool enabled() const {
+      return drop > 0 || duplicate > 0 || reorder > 0 || corrupt > 0;
+    }
+  };
+
+  Time latency_s{0};
+  double bandwidth_bits_per_s{std::numeric_limits<double>::infinity()};
+  // Maximum messages coalesced into one wire frame by FrameLink; 0 disables
+  // framing (one frame, one encode, one delivery event per message).
+  std::uint32_t frame_budget{0};
+  FaultConfig faults{};
+
+  Time rtt() const { return 2 * latency_s; }
+};
 
 template <class Msg>
 class FrameLink {
@@ -75,7 +117,8 @@ class FrameLink {
     OPTREP_CHECK(loop != nullptr);
   }
 
-  // Scheduled delivery closures capture `this`: immovable, like Link.
+  // Scheduled delivery closures capture `this`; a moved-from link would leave
+  // them dangling, so a FrameLink is pinned to its construction address.
   FrameLink(const FrameLink&) = delete;
   FrameLink& operator=(const FrameLink&) = delete;
   FrameLink(FrameLink&&) = delete;
@@ -104,8 +147,8 @@ class FrameLink {
     stats_.model_bits += model_bits;
     stats_.wire_bytes += wire_bytes;
     if (!framed()) {
-      // Legacy path: per-message delivery event and hand-off tap, identical
-      // to sim::Link; each message is priced as its own frame.
+      // Unframed path: per-message delivery event and hand-off tap; each
+      // message is priced as its own frame.
       if (tap_) tap_(loop_->now(), msg, model_bits);
       stats_.frames += 1;
       stats_.framed_wire_bytes += msg_sizer_ ? msg_sizer_(msg) : wire_bytes;

@@ -43,7 +43,7 @@
 #include "graph/causal_graph.h"
 #include "obs/metrics.h"
 #include "sim/event_loop.h"
-#include "sim/link.h"
+#include "sim/frame_link.h"
 #include "sim/topology.h"
 #include "vv/arena.h"
 #include "vv/rotating_vector.h"

@@ -217,9 +217,14 @@ class Column {
     if (n > cap_) regrow(n);
   }
 
+  // A release store, like every other shared word: a cell past size() may
+  // still be read by an optimistic reader that followed a stale link (a
+  // RotatingVector::compact shrinks without reallocating), so refilling it
+  // races that reader's atomic load. Single-threaded cost: a plain mov.
   void push_back(T v) {
     if (size_ == cap_) regrow(cap_ < 8 ? 8 : cap_ * 2);
-    data_[size_++] = v;
+    std::atomic_ref<T>(data_[size_]).store(v, std::memory_order_release);
+    ++size_;
   }
   void pop_back() { --size_; }
 

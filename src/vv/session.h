@@ -29,7 +29,6 @@
 #include "obs/trace.h"
 #include "sim/event_loop.h"
 #include "sim/frame_link.h"
-#include "sim/link.h"
 #include "vv/compare.h"
 #include "vv/rotating_vector.h"
 #include "vv/version_vector.h"

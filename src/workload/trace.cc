@@ -377,10 +377,7 @@ RunStats run_op(repl::OpSystem& sys, const Trace& trace, bool drive_to_consisten
       bool all_consistent = true;
       for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
         const ObjectId obj{o};
-        std::vector<SiteId> hosts;
-        for (std::uint32_t s = 0; s < trace.n_sites; ++s) {
-          if (sys.has_replica(SiteId{s}, obj)) hosts.push_back(SiteId{s});
-        }
+        const auto hosts = sys.hosts_of(obj);
         if (hosts.size() < 2) continue;
         for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
           sys.sync(hosts[i + 1], hosts[i], obj);

@@ -10,8 +10,10 @@
 // model while the oracle checks linearizability of validated reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -126,6 +128,67 @@ TEST(ConcurrentRotatingVector, ValidatedReadersMatchPerVersionOracle) {
   EXPECT_NE(vector_signature(vec, kSites + 1), kTorn);
   EXPECT_TRUE(vec.olock().read_validate(snap));
   SUCCEED() << validated << " validated reads cross-checked";
+}
+
+// The writer pattern of net::ReplicaStore::commit, socket-free: erase every
+// element (the erase churn runs compact(), which shrinks the columns in
+// place) and replay the same elements, so the re-inserts past the shrunk
+// height go through insert_front's push path. Readers walk concurrently and
+// may follow a stale link into exactly the cells those pushes refill, so the
+// refill must be an atomic store like every other shared word; with plain
+// column stores TSan (the CI tsan job runs this binary) reports the race.
+// Every replay restores the same state, so each validated walk must see it.
+TEST(ConcurrentRotatingVector, ReplayAfterCompactionRacesNoReader) {
+  constexpr std::uint32_t kSites = 24;
+  constexpr std::uint32_t kRounds = 2000;
+  constexpr std::uint32_t kReaders = 2;
+
+  RotatingVector vec;
+  vec.reserve(kSites);  // pinned capacity: the replay never reallocates
+  for (std::uint32_t s = 0; s < kSites; ++s) vec.record_update(SiteId{s});
+  vec.set_segment_bit(SiteId{kSites / 2}, true);
+  const std::vector<RotatingVector::Element> elems = vec.in_order();
+  const std::uint64_t committed = vector_signature(vec, kSites + 1);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::uint64_t> mismatched(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (std::uint32_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::uint64_t snap = vec.olock().read_begin();
+        const std::uint64_t sig = vector_signature(vec, kSites + 1);
+        if (sig != kTorn && vec.olock().read_validate(snap) && sig != committed) {
+          ++mismatched[r];
+        }
+      }
+    });
+  }
+
+  std::size_t min_height = kSites;
+  for (std::uint32_t round = 0; round < kRounds; ++round) {
+    {
+      rt::OLockGuard g(vec.olock());
+      while (const auto f = vec.front()) vec.erase(f->site);
+      min_height = std::min(min_height, vec.slot_count());
+      std::optional<SiteId> prev;
+      for (const RotatingVector::Element& e : elems) {
+        vec.rotate_after(prev, e.site);
+        vec.set_element(e.site, e.value, e.conflict, e.segment);
+        prev = e.site;
+      }
+    }
+    std::this_thread::yield();  // leave readers a committed window
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  // Compaction shrank the columns, so most re-inserts took the push path.
+  EXPECT_LT(min_height, kSites / 2);
+  EXPECT_EQ(vector_signature(vec, kSites + 1), committed);
+  for (std::uint32_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(mismatched[r], 0u) << "reader " << r << " validated a torn walk";
+  }
 }
 
 TEST(ConcurrentFlatSiteIndex, ValidatedProbesMatchPerVersionOracle) {

@@ -4,6 +4,8 @@
 // functional tests can miss.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "common/rng.h"
 #include "vv/compare.h"
 #include "vv/session.h"
@@ -14,7 +16,7 @@ namespace {
 struct NetCase {
   TransferMode mode;
   sim::NetConfig net;
-  const char* name;
+  std::string_view name;
 };
 
 class Conservation : public ::testing::TestWithParam<NetCase> {};
@@ -107,7 +109,8 @@ TEST_P(Conservation, EqualSyncIsMinimal) {
 
 // A static table, not an inline ::testing::Values(...): gtest prints each
 // NetCase's raw bytes into the test name, and only static storage zeroes the
-// padding those bytes include.
+// padding those bytes include. The printed size (88 bytes) is part of the name
+// too, so a layout change to NetCase or sim::NetConfig renames every case.
 constexpr NetCase kModes[] = {
     {TransferMode::kIdeal, {}, "ideal"},
     {TransferMode::kStopAndWait, {.latency_s = 0.01}, "saw"},

@@ -23,7 +23,7 @@ TEST(EdgeCases, EventLoopRejectsSchedulingIntoThePast) {
 
 TEST(EdgeCases, LinkWithoutReceiverDies) {
   sim::EventLoop loop;
-  sim::Link<int> link(&loop, {});
+  sim::FrameLink<int> link(&loop, {});
   EXPECT_DEATH(link.send(1, 8, 1), "link has no receiver");
 }
 

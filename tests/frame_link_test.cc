@@ -1,4 +1,4 @@
-// sim::FrameLink: frame coalescing must keep per-message Link timing exactly,
+// sim::FrameLink: frame coalescing must keep per-message link timing exactly,
 // flush on budget / control / direction turn, and let cancel_tail revoke only
 // the speculative not-yet-transmitting tail.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 
 #include "sim/event_loop.h"
 #include "sim/frame_link.h"
-#include "sim/link.h"
 
 namespace optrep::sim {
 namespace {
@@ -19,12 +18,8 @@ struct FMsg {
   bool control{false};
 };
 
-// Regression for the moved-Link dangling-handler bug: delivery closures
-// capture the link's address, so both link types are pinned in place.
-static_assert(!std::is_copy_constructible_v<Link<FMsg>>);
-static_assert(!std::is_move_constructible_v<Link<FMsg>>);
-static_assert(!std::is_copy_assignable_v<Link<FMsg>>);
-static_assert(!std::is_move_assignable_v<Link<FMsg>>);
+// Regression for the moved-link dangling-handler bug: delivery closures
+// capture the link's address, so links are pinned in place.
 static_assert(!std::is_copy_constructible_v<FrameLink<FMsg>>);
 static_assert(!std::is_move_constructible_v<FrameLink<FMsg>>);
 
@@ -37,29 +32,24 @@ NetConfig finite_net(std::uint32_t budget) {
 }
 
 TEST(FrameLink, BudgetZeroMatchesLinkTimingAndEvents) {
-  EventLoop unframed_loop;
-  Link<FMsg> link(&unframed_loop, finite_net(0));
-  std::vector<std::pair<Time, int>> got_link;
-  link.set_receiver([&](const FMsg& m) { got_link.emplace_back(unframed_loop.now(), m.id); });
-  unframed_loop.schedule(0.0, [&] {
-    for (int i = 0; i < 5; ++i) link.send(FMsg{i}, 100, 13);
-  });
-  unframed_loop.run();
-
-  EventLoop framed_loop;
-  FrameLink<FMsg> flink(&framed_loop, finite_net(0));
-  std::vector<std::pair<Time, int>> got_flink;
-  flink.set_receiver([&](const FMsg& m) { got_flink.emplace_back(framed_loop.now(), m.id); });
-  framed_loop.schedule(0.0, [&] {
+  EventLoop loop;
+  FrameLink<FMsg> flink(&loop, finite_net(0));
+  std::vector<std::pair<Time, int>> got;
+  flink.set_receiver([&](const FMsg& m) { got.emplace_back(loop.now(), m.id); });
+  loop.schedule(0.0, [&] {
     for (int i = 0; i < 5; ++i) flink.send(FMsg{i}, 100, 13);
   });
-  framed_loop.run();
+  loop.run();
 
-  EXPECT_EQ(got_link, got_flink);
-  EXPECT_EQ(unframed_loop.executed_events(), framed_loop.executed_events());
-  EXPECT_EQ(flink.stats().frames, 5u);             // every message its own frame
+  // Message i transmits [i, i+1) at 100 bits / 100 bit/s and arrives 0.25 s
+  // after its last bit, each in its own delivery event.
+  const std::vector<std::pair<Time, int>> want = {
+      {1.25, 0}, {2.25, 1}, {3.25, 2}, {4.25, 3}, {5.25, 4}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(loop.executed_events(), 1u + 5u);  // the send event + one per message
+  EXPECT_EQ(flink.stats().frames, 5u);         // every message its own frame
   EXPECT_EQ(flink.stats().framed_wire_bytes, 5u * 13u);
-  EXPECT_EQ(flink.stats().wire_bytes, link.stats().wire_bytes);
+  EXPECT_EQ(flink.stats().wire_bytes, 5u * 13u);
 }
 
 TEST(FrameLink, FramedDeliveryKeepsPerMessageTimes) {

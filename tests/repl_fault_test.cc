@@ -52,6 +52,28 @@ TEST(ReplFaults, StateSyncFailureIsACompleteNoOp) {
   // The receiver's metadata never claims content that was not transferred.
   EXPECT_TRUE(sys.replica(B, kObj).vector.to_version_vector() == vv::VersionVector{});
   EXPECT_TRUE(sys.replica(B, kObj).data.entries.empty());
+
+  // The record store, through the same sync step: B holds its own record, so
+  // a merge would run the semantic detector — a failed sync must not.
+  RecordSystem::Config rcfg;
+  rcfg.n_sites = 4;
+  rcfg.kind = vv::VectorKind::kSrv;
+  rcfg.cost = CostModel{.n = 8, .m = 1024};
+  rcfg.net.latency_s = 0.001;
+  rcfg.net.faults.drop = 1.0;
+  rcfg.net.faults.seed = 1;
+  RecordSystem records(rcfg);
+  records.create_object(A, kObj, "ka", "vA");
+  records.create_object(B, kObj, "kb", "vB");
+  const RecordReplica before = records.replica(B, kObj);
+  const auto r = records.sync(B, A, kObj);
+  EXPECT_EQ(r.relation, vv::Ordering::kConcurrent);
+  EXPECT_FALSE(r.report.converged);
+  EXPECT_FALSE(r.syntactic_conflict);
+  EXPECT_EQ(records.replica(B, kObj).records, before.records);
+  EXPECT_TRUE(records.replica(B, kObj).vector.identical_to(before.vector));
+  EXPECT_EQ(records.totals().sync_failures, 1u);
+  EXPECT_EQ(records.totals().retries, vv::RetryPolicy{}.max_retries);
 }
 
 TEST(ReplFaults, FaultTotalsAccumulateAcrossSessions) {

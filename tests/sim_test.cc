@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "sim/event_loop.h"
-#include "sim/link.h"
+#include "sim/frame_link.h"
 
 namespace optrep::sim {
 namespace {
@@ -73,7 +73,7 @@ struct TestMsg {
 
 TEST(Link, LatencyOnlyDelivery) {
   EventLoop loop;
-  Link<TestMsg> link(&loop, NetConfig{.latency_s = 0.5});
+  FrameLink<TestMsg> link(&loop, NetConfig{.latency_s = 0.5});
   std::vector<std::pair<Time, int>> got;
   link.set_receiver([&](const TestMsg& m) { got.emplace_back(loop.now(), m.id); });
   loop.schedule(0.0, [&] {
@@ -92,7 +92,7 @@ TEST(Link, LatencyOnlyDelivery) {
 TEST(Link, BandwidthPacesTransmissions) {
   EventLoop loop;
   // 100 bits/s, 0.1 s latency: a 100-bit message occupies the link for 1 s.
-  Link<TestMsg> link(&loop, NetConfig{.latency_s = 0.1, .bandwidth_bits_per_s = 100});
+  FrameLink<TestMsg> link(&loop, NetConfig{.latency_s = 0.1, .bandwidth_bits_per_s = 100});
   std::vector<Time> arrivals;
   link.set_receiver([&](const TestMsg&) { arrivals.push_back(loop.now()); });
   loop.schedule(0.0, [&] {
@@ -107,7 +107,7 @@ TEST(Link, BandwidthPacesTransmissions) {
 
 TEST(Link, FreeAtReflectsQueue) {
   EventLoop loop;
-  Link<TestMsg> link(&loop, NetConfig{.latency_s = 0.0, .bandwidth_bits_per_s = 10});
+  FrameLink<TestMsg> link(&loop, NetConfig{.latency_s = 0.0, .bandwidth_bits_per_s = 10});
   link.set_receiver([](const TestMsg&) {});
   loop.schedule(0.0, [&] {
     const Time f1 = link.send(TestMsg{1}, 10, 2);
@@ -120,7 +120,7 @@ TEST(Link, FreeAtReflectsQueue) {
 
 TEST(Link, StatsAccumulate) {
   EventLoop loop;
-  Link<TestMsg> link(&loop, NetConfig{});
+  FrameLink<TestMsg> link(&loop, NetConfig{});
   link.set_receiver([](const TestMsg&) {});
   loop.schedule(0.0, [&] {
     link.send(TestMsg{1}, 10, 2);
@@ -139,7 +139,7 @@ TEST(Link, RttIsTwiceLatency) {
 
 TEST(Duplex, IndependentDirections) {
   EventLoop loop;
-  Duplex<TestMsg> d(&loop, NetConfig{.latency_s = 1.0});
+  FrameDuplex<TestMsg> d(&loop, NetConfig{.latency_s = 1.0});
   int a_got = 0, b_got = 0;
   d.a_to_b().set_receiver([&](const TestMsg&) { ++b_got; });
   d.b_to_a().set_receiver([&](const TestMsg&) { ++a_got; });
