@@ -12,11 +12,12 @@
 // object has absorbed it — a later replica birth can re-open the trace, in
 // which case a further kConverge closes it again; analyzers use the last).
 //
-// record() is a ring write with no heap allocation — the tracing-off cost is
-// a null check, and the tracing-on steady state allocates nothing (both
-// gated by bench_microops). Exports are byte-deterministic: events leave in
-// ring order, floats print as %.17g, and sweep documents are assembled from
-// per-run fragments in config order (see tools/optrep_cli.cc).
+// Events live in an obs::Ring (obs/ring.h): record() is a ring write with no
+// heap allocation — the tracing-off cost is a null check, and the tracing-on
+// steady state allocates nothing (both gated by bench_microops). Exports are
+// byte-deterministic: events leave in ring order, floats print as %.17g, and
+// sweep documents are assembled from per-run fragments in config order (see
+// tools/optrep_cli.cc).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,8 @@
 
 #include "common/check.h"
 #include "common/ids.h"
-#include "obs/flight_recorder.h"
+#include "obs/ring.h"
+#include "obs/trace.h"
 
 namespace optrep::obs {
 
@@ -62,17 +64,16 @@ struct CausalEvent {
   FlightFault fault{FlightFault::kNone};  // kFault: what the injector did
 };
 
-class CausalTracer {
+class CausalTracer : public Ring<CausalEvent> {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 18;
 
   explicit CausalTracer(std::uint64_t run_seed,
                         std::size_t capacity = kDefaultCapacity)
-      : seed_(run_seed), buf_(capacity) {
-    OPTREP_CHECK_MSG(capacity > 0, "causal tracer capacity must be positive");
-  }
+      : Ring(capacity), seed_(run_seed) {}
 
   std::uint64_t run_seed() const { return seed_; }
+  std::uint64_t spans_opened() const { return last_span_; }
 
   // Trace identity: a SplitMix64-style mix of the run seed and the update's
   // (object, site, seq) triple. Never 0 (0 means "no trace"). Deterministic
@@ -88,20 +89,6 @@ class CausalTracer {
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
     x ^= x >> 31;
     return x == 0 ? 1 : x;
-  }
-
-  // Ring write; never allocates, overwrites the oldest event when full and
-  // advances dropped() so truncation is visible in dumps.
-  void record(const CausalEvent& e) {
-    ++total_;
-    if (size_ < buf_.size()) {
-      buf_[(head_ + size_) % buf_.size()] = e;
-      ++size_;
-    } else {
-      buf_[head_] = e;
-      head_ = (head_ + 1) % buf_.size();
-      ++dropped_;
-    }
   }
 
   // --- typed emitters -----------------------------------------------------
@@ -207,20 +194,6 @@ class CausalTracer {
     record(e);
   }
 
-  // --- ring access --------------------------------------------------------
-
-  std::size_t capacity() const { return buf_.size(); }
-  std::size_t size() const { return size_; }
-  std::uint64_t total_recorded() const { return total_; }
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t spans_opened() const { return last_span_; }
-
-  // i-th oldest retained event, i ∈ [0, size()).
-  const CausalEvent& event(std::size_t i) const {
-    OPTREP_DCHECK(i < size_);
-    return buf_[(head_ + i) % buf_.size()];
-  }
-
   // Fold a per-session scratch tracer (repl::StateSystem::run_batch computes
   // sessions in parallel, each tracing into its own small ring) into this
   // tracer: scratch span ids are sequential from 1, so rebase every span and
@@ -244,18 +217,12 @@ class CausalTracer {
   }
 
   void clear() {
-    head_ = size_ = 0;
-    total_ = dropped_ = 0;
+    Ring::clear();
     last_span_ = 0;
   }
 
  private:
   std::uint64_t seed_;
-  std::vector<CausalEvent> buf_;  // sized once; never reallocated
-  std::size_t head_{0};
-  std::size_t size_{0};
-  std::uint64_t total_{0};
-  std::uint64_t dropped_{0};
   std::uint64_t last_span_{0};
 };
 

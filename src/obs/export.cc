@@ -236,37 +236,39 @@ std::string metrics_to_csv(const Registry& reg) {
 // Traces
 // ---------------------------------------------------------------------------
 
-void write_trace_event(JsonWriter& w, const TraceEvent& e) {
-  w.begin_object();
-  w.field("t", e.at);
-  w.field("session", e.session);
-  w.field("type", to_string(e.type));
-  w.field("dir", e.forward ? "fwd" : "rev");
-  w.field("site", std::uint64_t{e.site.value});
-  w.field("value", e.value);
-  w.field("bits", e.bits);
-  w.end_object();
-}
-
 std::string trace_to_json(const Tracer& t) {
-  // Assembled by hand so each event sits on its own line (greppable output
-  // that is still one valid JSON document).
   JsonWriter hdr;
   hdr.begin_object();
   hdr.field("schema", "optrep.trace/v1");
   hdr.field("capacity", std::uint64_t{t.capacity()});
   hdr.field("total_recorded", t.total_recorded());
   hdr.field("dropped", t.dropped());
-  std::string out = hdr.take();  // deliberately unterminated: events follow
-  out += ",\"events\":[";
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
+  return append_trace_events(hdr.take(), t, /*with_fault=*/false);
+}
+
+std::string append_trace_events(std::string doc, const Ring<TraceEvent>& events,
+                                bool with_fault) {
+  // Assembled by hand so each event sits on its own line (greppable output
+  // that is still one valid JSON document).
+  doc += ",\"events\":[";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events.event(i);
+    doc += i == 0 ? "\n" : ",\n";
     JsonWriter w;
-    write_trace_event(w, t.event(i));
-    out += w.str();
+    w.begin_object();
+    w.field("t", e.at);
+    w.field("session", e.session);
+    w.field("type", to_string(e.type));
+    w.field("dir", e.forward ? "fwd" : "rev");
+    w.field("site", std::uint64_t{e.site.value});
+    w.field("value", e.value);
+    w.field("bits", e.bits);
+    if (with_fault) w.field("fault", to_string(e.fault));
+    w.end_object();
+    doc += w.str();
   }
-  out += "\n]}\n";
-  return out;
+  doc += "\n]}\n";
+  return doc;
 }
 
 std::string trace_to_csv(const Tracer& t) {

@@ -99,10 +99,14 @@ std::string metrics_to_csv(const Registry& reg);
 // Traces
 // ---------------------------------------------------------------------------
 
-void write_trace_event(JsonWriter& w, const TraceEvent& e);
 // {"schema":...,"capacity":..,"total":..,"dropped":..,"events":[...]}
 // Events render one per line for greppability; still valid JSON.
 std::string trace_to_json(const Tracer& t);
+// Appends the "events" array to `doc`, a header object left open, and closes
+// the document. One event per line: the seven optrep.trace/v1 fields, plus
+// "fault" when `with_fault` (optrep.flight/v1).
+std::string append_trace_events(std::string doc, const Ring<TraceEvent>& events,
+                                bool with_fault);
 std::string trace_to_csv(const Tracer& t);
 
 // ---------------------------------------------------------------------------

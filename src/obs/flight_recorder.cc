@@ -4,24 +4,12 @@
 
 namespace optrep::obs {
 
-std::string_view to_string(FlightFault f) {
-  switch (f) {
-    case FlightFault::kNone: return "none";
-    case FlightFault::kDropped: return "dropped";
-    case FlightFault::kDuplicated: return "duplicated";
-    case FlightFault::kReordered: return "reordered";
-    case FlightFault::kCorrupted: return "corrupted";
-    case FlightFault::kDecodeError: return "decode_error";
-  }
-  return "?";
-}
-
 std::string flight_to_json(const FlightRecorder& r) {
   JsonWriter hdr;
   hdr.begin_object();
   hdr.field("schema", "optrep.flight/v1");
   hdr.field("capacity", static_cast<std::uint64_t>(r.capacity()));
-  hdr.field("total_recorded", r.dump_total_recorded());
+  hdr.field("total_recorded", r.dump().total_recorded());
   hdr.field("triggered", r.triggered());
   hdr.field("trigger_count", r.trigger_count());
   hdr.field("trigger_reason", r.reason());
@@ -29,26 +17,7 @@ std::string flight_to_json(const FlightRecorder& r) {
   hdr.field("fault_seed", r.fault_seed());
   hdr.field("trigger_attempt", r.trigger_attempt());
   hdr.field("trigger_seq", r.trigger_seq());
-  std::string out = hdr.take();  // deliberately unterminated: events follow
-  out += ",\"events\":[";
-  for (std::size_t i = 0; i < r.dump_size(); ++i) {
-    const FlightRecord& e = r.dump_event(i);
-    out += i == 0 ? "\n" : ",\n";
-    JsonWriter w;
-    w.begin_object();
-    w.field("t", e.at);
-    w.field("session", e.session);
-    w.field("type", to_string(e.type));
-    w.field("dir", e.forward ? "fwd" : "rev");
-    w.field("site", std::uint64_t{e.site.value});
-    w.field("value", e.value);
-    w.field("bits", e.bits);
-    w.field("fault", to_string(e.fault));
-    w.end_object();
-    out += w.str();
-  }
-  out += "\n]}\n";
-  return out;
+  return append_trace_events(hdr.take(), r.dump(), /*with_fault=*/true);
 }
 
 }  // namespace optrep::obs

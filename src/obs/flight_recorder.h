@@ -1,66 +1,32 @@
 // Protocol flight recorder: a fixed ring of the last K protocol events per
 // run, frozen at the first anomaly and dumped as a reproducible post-mortem.
 //
-// Sessions feed every wire message (and every injected fault, via the
-// sim::FaultInjector observer) into the ring through the same tap that serves
-// the Tracer; record() is a ring write with no heap allocation. When a
-// Table 2 bound violation, a typed decode error, or retry exhaustion fires,
-// trigger() snapshots the ring — the K events *leading up to* the anomaly —
-// so later traffic cannot overwrite the evidence. dump_json() exports the
-// frozen snapshot (or the live ring when nothing ever triggered) as an
-// optrep.flight/v1 document (docs/OBSERVABILITY.md).
+// Sessions record the TraceEvent of every wire message (and, with `fault`
+// set, of every injected fault, via the sim::FaultInjector observer) — the
+// same value they hand the Tracer. record() is a ring write with no heap
+// allocation. When a Table 2 bound violation, a typed decode error, or retry
+// exhaustion fires, trigger() snapshots the ring — the K events *leading up
+// to* the anomaly — so later traffic cannot overwrite the evidence.
+// flight_to_json() exports the frozen snapshot (or the live ring when nothing
+// ever triggered) as an optrep.flight/v1 document (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "common/ids.h"
+#include "obs/ring.h"
 #include "obs/trace.h"
 
 namespace optrep::obs {
 
-// What fault injection did to the message this record describes. kNone for
-// ordinary wire records; kDecodeError marks a corruption the typed codec
-// itself rejected (the subset of kCorrupted the checksum model need not
-// catch).
-enum class FlightFault : std::uint8_t {
-  kNone,
-  kDropped,
-  kDuplicated,
-  kReordered,
-  kCorrupted,
-  kDecodeError,
-};
-
-std::string_view to_string(FlightFault f);
-
-struct FlightRecord {
-  double at{0};
-  std::uint64_t session{0};
-  TraceEventType type{TraceEventType::kElemSent};
-  bool forward{true};
-  SiteId site{};
-  std::uint64_t value{0};
-  std::uint64_t bits{0};
-  FlightFault fault{FlightFault::kNone};
-};
-
-class FlightRecorder {
+// The live ring of the last K events, plus the copy trigger() froze.
+class FlightRecorder : public Ring<TraceEvent> {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity)
-      : buf_(capacity) {
-    snapshot_.reserve(capacity);
-  }
-
-  // Ring write; never allocates.
-  void record(const FlightRecord& r) {
-    buf_[total_ % buf_.size()] = r;
-    ++total_;
-  }
+      : Ring(capacity), snapshot_(capacity) {}
 
   // Reproducibility context for the dump header: the run's fault-injection
   // seed (set once by the system wiring the recorder) and the retry attempt
@@ -80,11 +46,8 @@ class FlightRecorder {
     reason_.assign(reason);
     triggered_at_ = at;
     trigger_attempt_ = attempt_;
-    trigger_seq_ = total_;  // sequence number of the triggering anomaly
-    snapshot_.clear();
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) snapshot_.push_back(event(i));
-    snapshot_total_ = total_;
+    // Same capacity on both sides: the copy reuses the snapshot's slots.
+    snapshot_ = static_cast<const Ring<TraceEvent>&>(*this);
   }
 
   bool triggered() const { return triggered_; }
@@ -93,46 +56,25 @@ class FlightRecorder {
   double triggered_at() const { return triggered_at_; }
   std::uint64_t fault_seed() const { return fault_seed_; }
   std::uint32_t trigger_attempt() const { return trigger_attempt_; }
-  std::uint64_t trigger_seq() const { return trigger_seq_; }
+  // Sequence number of the triggering anomaly: events recorded before it.
+  std::uint64_t trigger_seq() const { return snapshot_.total_recorded(); }
 
-  std::size_t capacity() const { return buf_.size(); }
-  std::size_t size() const {
-    return total_ < buf_.size() ? static_cast<std::size_t>(total_) : buf_.size();
-  }
-  std::uint64_t total_recorded() const { return total_; }
-  std::uint64_t dropped() const { return total_ - size(); }
-
-  // i-th live record, oldest first.
-  const FlightRecord& event(std::size_t i) const {
-    const std::size_t begin = static_cast<std::size_t>(total_ % buf_.size());
-    return total_ <= buf_.size() ? buf_[i] : buf_[(begin + i) % buf_.size()];
-  }
-
-  // The records a dump exports: the frozen snapshot after a trigger, the
-  // live ring otherwise.
-  std::size_t dump_size() const { return triggered_ ? snapshot_.size() : size(); }
-  const FlightRecord& dump_event(std::size_t i) const {
-    return triggered_ ? snapshot_[i] : event(i);
-  }
-  std::uint64_t dump_total_recorded() const {
-    return triggered_ ? snapshot_total_ : total_;
-  }
+  // The events a dump exports: the frozen snapshot after a trigger, the live
+  // ring otherwise.
+  const Ring<TraceEvent>& dump() const { return triggered_ ? snapshot_ : *this; }
 
   void clear() {
-    total_ = 0;
+    Ring::clear();
+    snapshot_.clear();
     triggered_ = false;
     trigger_count_ = 0;
     reason_.clear();
     triggered_at_ = 0;
     trigger_attempt_ = 0;
-    trigger_seq_ = 0;
-    snapshot_.clear();
-    snapshot_total_ = 0;
   }
 
  private:
-  std::vector<FlightRecord> buf_;
-  std::uint64_t total_{0};
+  Ring<TraceEvent> snapshot_;  // frozen ring contents at trigger time
   bool triggered_{false};
   std::uint64_t trigger_count_{0};
   std::string reason_;
@@ -140,12 +82,9 @@ class FlightRecorder {
   std::uint64_t fault_seed_{0};
   std::uint32_t attempt_{0};          // retry attempt currently executing
   std::uint32_t trigger_attempt_{0};  // ...frozen at trigger time
-  std::uint64_t trigger_seq_{0};      // total_ when the trigger fired
-  std::vector<FlightRecord> snapshot_;  // frozen ring contents at trigger time
-  std::uint64_t snapshot_total_{0};
 };
 
-// One optrep.flight/v1 document: trigger header plus one record per line,
+// One optrep.flight/v1 document: trigger header plus one event per line,
 // oldest first.
 std::string flight_to_json(const FlightRecorder& r);
 

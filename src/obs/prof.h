@@ -4,7 +4,7 @@
 // A Span measures one scoped region on the steady clock and, on destruction,
 // records a fixed-size SpanRecord — name, start, duration, thread id, nesting
 // depth — into the installed Profiler. Like the other obs instruments, the
-// hot path performs no heap allocation: the ring is sized once at
+// hot path performs no heap allocation: the obs::Ring is sized once at
 // construction, the clock reads are integer arithmetic, and the optional
 // metrics sink caches histogram references keyed by the span-name pointer
 // (span names must be string literals or otherwise outlive the profiler).
@@ -30,10 +30,10 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "obs/ring.h"
 
 namespace optrep::prof {
 
@@ -64,9 +64,7 @@ class Profiler {
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
 
   explicit Profiler(std::size_t capacity = kDefaultCapacity)
-      : epoch_(std::chrono::steady_clock::now()), buf_(capacity) {
-    OPTREP_CHECK_MSG(capacity > 0, "profiler capacity must be positive");
-  }
+      : epoch_(std::chrono::steady_clock::now()), ring_(capacity) {}
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -105,45 +103,32 @@ class Profiler {
     OPTREP_CHECK(&o != this);
     std::scoped_lock lock(mu_, o.mu_);
     const auto delta = std::chrono::duration_cast<std::chrono::nanoseconds>(o.epoch_ - epoch_);
-    for (std::size_t i = 0; i < o.size_; ++i) {
-      SpanRecord rec = o.buf_[(o.head_ + i) % o.buf_.size()];
+    for (std::size_t i = 0; i < o.ring_.size(); ++i) {
+      SpanRecord rec = o.ring_.event(i);
       rec.start_ns = static_cast<std::uint64_t>(
           static_cast<std::int64_t>(rec.start_ns) + delta.count());
       push_locked(rec);
     }
-    total_ += o.total_ - o.size_;  // spans the shard recorded but no longer retains
-    dropped_ += o.dropped_;
+    ring_.count_dropped(o.ring_.dropped());
   }
 
-  std::size_t capacity() const { return buf_.size(); }
-  std::size_t size() const { return size_; }  // retained spans
-  std::uint64_t total_recorded() const { return total_; }
-  std::uint64_t dropped() const { return dropped_; }
+  std::size_t capacity() const { return ring_.capacity(); }
+  std::size_t size() const { return ring_.size(); }  // retained spans
+  std::uint64_t total_recorded() const { return ring_.total_recorded(); }
+  std::uint64_t dropped() const { return ring_.dropped(); }
 
   // i-th oldest retained span, i ∈ [0, size()).
-  const SpanRecord& span(std::size_t i) const {
-    OPTREP_DCHECK(i < size_);
-    return buf_[(head_ + i) % buf_.size()];
-  }
+  const SpanRecord& span(std::size_t i) const { return ring_.event(i); }
 
   void clear() {
     std::lock_guard<std::mutex> lock(mu_);
-    head_ = size_ = 0;
-    total_ = dropped_ = 0;
+    ring_.clear();
   }
 
  private:
   // Requires mu_ held.
   void push_locked(const SpanRecord& rec) {
-    ++total_;
-    if (size_ < buf_.size()) {
-      buf_[(head_ + size_) % buf_.size()] = rec;
-      ++size_;
-    } else {
-      buf_[head_] = rec;
-      head_ = (head_ + 1) % buf_.size();
-      ++dropped_;
-    }
+    ring_.record(rec);
     if (sink_ != nullptr) {
       auto it = sink_cache_.find(rec.name);
       if (it == sink_cache_.end()) {
@@ -156,11 +141,7 @@ class Profiler {
 
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
-  std::vector<SpanRecord> buf_;  // sized once; never reallocated
-  std::size_t head_{0};
-  std::size_t size_{0};
-  std::uint64_t total_{0};
-  std::uint64_t dropped_{0};
+  obs::Ring<SpanRecord> ring_;
   obs::Registry* sink_{nullptr};
   // Name-pointer → histogram cache: heterogeneous-free lookup, allocates only
   // on the first record of each distinct span name.

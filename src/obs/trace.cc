@@ -20,4 +20,16 @@ std::string_view to_string(TraceEventType t) {
   return "?";
 }
 
+std::string_view to_string(FlightFault f) {
+  switch (f) {
+    case FlightFault::kNone: return "none";
+    case FlightFault::kDropped: return "dropped";
+    case FlightFault::kDuplicated: return "duplicated";
+    case FlightFault::kReordered: return "reordered";
+    case FlightFault::kCorrupted: return "corrupted";
+    case FlightFault::kDecodeError: return "decode_error";
+  }
+  return "?";
+}
+
 }  // namespace optrep::obs

@@ -1,21 +1,22 @@
-// Structured protocol tracing: typed events, ring-buffer bounded.
+// Structured protocol tracing: typed events in a bounded ring.
 //
-// A Tracer records fixed-size TraceEvents — one per protocol occurrence worth
-// auditing (element sent/applied/redundant, SKIP issued/honored, HALT, ack,
-// session begin/end) — stamped with simulated time and a session id. The
-// buffer is allocated once at construction; when it fills, the oldest event
-// is overwritten and an explicit drop counter advances, so truncation is
-// always visible in exported artifacts (see obs/export.h).
+// A TraceEvent is the one record of a protocol occurrence worth auditing —
+// element sent/applied/redundant, SKIP issued/honored, HALT, ack, session
+// begin/end — stamped with simulated time and a session id. The same record,
+// with `fault` set, is how the flight recorder (obs/flight_recorder.h) notes
+// what fault injection did to a message.
 //
-// Tracer::record is allocation-free: one array store plus counter updates.
+// A Tracer is an obs::Ring of TraceEvents (obs/ring.h): allocated once,
+// overwriting the oldest event when full and counting the drops, so
+// truncation is always visible in exported artifacts (see obs/export.h).
+// Tracer::record is allocation-free.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
-#include "common/check.h"
 #include "common/ids.h"
+#include "obs/ring.h"
 #include "sim/event_loop.h"
 
 namespace optrep::obs {
@@ -37,64 +38,37 @@ enum class TraceEventType : std::uint8_t {
 
 std::string_view to_string(TraceEventType t);
 
+// What fault injection did to the message an event describes. kNone for
+// ordinary wire events; kDecodeError marks a corruption the typed codec
+// itself rejected (the subset of kCorrupted the checksum model need not
+// catch).
+enum class FlightFault : std::uint8_t {
+  kNone,
+  kDropped,
+  kDuplicated,
+  kReordered,
+  kCorrupted,
+  kDecodeError,
+};
+
+std::string_view to_string(FlightFault f);
+
 struct TraceEvent {
   sim::Time at{0};           // simulated time of the occurrence
   std::uint64_t session{0};  // session id (0 = outside any session)
   TraceEventType type{TraceEventType::kElemSent};
   bool forward{true};        // pertains to the sender→receiver direction
+  FlightFault fault{FlightFault::kNone};  // injected fault (flight recorder)
   SiteId site{};             // element site, when applicable
   std::uint64_t value{0};    // element value / SKIP segment index
   std::uint64_t bits{0};     // model bits charged (wire events), else 0
 };
 
-class Tracer {
+class Tracer : public Ring<TraceEvent> {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 18;
 
-  explicit Tracer(std::size_t capacity = kDefaultCapacity) : buf_(capacity) {
-    OPTREP_CHECK_MSG(capacity > 0, "tracer capacity must be positive");
-  }
-
-  // No allocation: overwrites the oldest retained event when full and
-  // advances dropped().
-  void record(const TraceEvent& e) {
-    ++total_;
-    if (size_ < buf_.size()) {
-      buf_[(head_ + size_) % buf_.size()] = e;
-      ++size_;
-    } else {
-      buf_[head_] = e;
-      head_ = (head_ + 1) % buf_.size();
-      ++dropped_;
-    }
-  }
-
-  std::size_t capacity() const { return buf_.size(); }
-  std::size_t size() const { return size_; }            // retained events
-  std::uint64_t total_recorded() const { return total_; }
-  std::uint64_t dropped() const { return dropped_; }
-
-  // i-th oldest retained event, i ∈ [0, size()).
-  const TraceEvent& event(std::size_t i) const {
-    OPTREP_DCHECK(i < size_);
-    return buf_[(head_ + i) % buf_.size()];
-  }
-
-  // Session ids handed to protocol runs so events are attributable.
-  std::uint64_t next_session_id() { return ++last_session_; }
-
-  void clear() {
-    head_ = size_ = 0;
-    total_ = dropped_ = 0;
-  }
-
- private:
-  std::vector<TraceEvent> buf_;  // sized once; never reallocated
-  std::size_t head_{0};
-  std::size_t size_{0};
-  std::uint64_t total_{0};
-  std::uint64_t dropped_{0};
-  std::uint64_t last_session_{0};
+  explicit Tracer(std::size_t capacity = kDefaultCapacity) : Ring(capacity) {}
 };
 
 }  // namespace optrep::obs

@@ -17,10 +17,6 @@ StateSystem::StateSystem(Config cfg)
                        cfg_.policy == ResolutionPolicy::kManual,
                    "BRV supports no conflict reconciliation (§3.1); use manual "
                    "resolution or CRV/SRV");
-  // Lossy-network runs: a sync that exhausts its retry budget leaves the
-  // receiver's vector partially joined, a state the at-rest oracles cannot
-  // describe — history containment no longer matches the vector order.
-  if (cfg_.net.faults.enabled()) cfg_.check_oracle = false;
   if (cfg_.recorder != nullptr) cfg_.recorder->set_fault_seed(cfg_.net.faults.seed);
   if (cfg_.timeline != nullptr) {
     if (cfg_.timeline_every_s > 0) {

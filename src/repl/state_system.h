@@ -89,9 +89,9 @@ class StateSystem {
     sim::NetConfig net{};
     CostModel cost{};
     // Cross-check against the traditional-vector and causal-history oracles.
-    // Forced off when net.faults is enabled: a failed (non-converged) session
-    // leaves the receiver's vector partially joined, which the oracles — built
-    // around complete at-rest merges — cannot model.
+    // Holds under fault injection too: vv::sync_with_recovery leaves a failed
+    // sync's receiver exactly as it was, so the oracles only ever see complete
+    // at-rest merges.
     bool check_oracle{true};
     // Optional structured tracing: every session's protocol events land
     // here, tagged with a per-system session id (see src/obs/trace.h).
@@ -116,8 +116,8 @@ class StateSystem {
     // receiver learned (kDeliver, attributed to the session's root span), and
     // the system closes a trace (kConverge) the moment every current host of
     // the object covers the update. The delivery identities come from the
-    // causal-history oracle, which is maintained on all converged paths even
-    // under fault injection (only the *checks* are disabled there).
+    // causal-history oracle, which is maintained on every converged path,
+    // fault injection included.
     obs::CausalTracer* causal{nullptr};
   };
 

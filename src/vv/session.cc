@@ -82,7 +82,7 @@ namespace {
 // Map one wire message to its typed trace event (receiver-side semantic
 // events — applied/redundant/straggler — are emitted by the receiver cores
 // as trace actions, where the classification happens).
-obs::TraceEventType wire_event_type(bool forward, const VvMsg& m) {
+obs::TraceEventType wire_event_type(const VvMsg& m) {
   switch (m.kind) {
     case VvMsg::Kind::kElem: return obs::TraceEventType::kElemSent;
     case VvMsg::Kind::kHalt: return obs::TraceEventType::kHalt;
@@ -92,7 +92,6 @@ obs::TraceEventType wire_event_type(bool forward, const VvMsg& m) {
     case VvMsg::Kind::kProbe: return obs::TraceEventType::kProbe;
     case VvMsg::Kind::kVerdict: return obs::TraceEventType::kVerdict;
   }
-  (void)forward;
   return obs::TraceEventType::kElemSent;
 }
 
@@ -171,6 +170,211 @@ protocol::Actions& scratch_actions() {
   return acts;
 }
 
+// Where a session's causal span hangs: under sync_with_recovery's root span,
+// stamped with the retry attempt, or at the top (span 0) for a direct call.
+struct SpanParent {
+  std::uint64_t span{0};
+  std::uint32_t attempt{0};
+};
+
+// One session's transport and observer feed: the framed duplex, the fault
+// injectors, and for each wire message (and each injected fault) one
+// obs::TraceEvent, recorded by the tracer and the flight recorder, plus the
+// causal tracer's edge for the same message.
+struct SessionWiring {
+  using Handler = std::function<void(const VvMsg&)>;
+
+  SessionWiring(sim::EventLoop& loop, const SyncOptions& opt, SpanParent parent)
+      : duplex(&loop, opt.net),
+        loop_(&loop),
+        opt_(&opt),
+        tracer(opt.tracer),
+        recorder(opt.recorder),
+        causal(opt.causal),
+        session(opt.trace_session) {
+    // Realistic framed-byte accounting (vv/frame_codec.h) and the control
+    // flush rule. Function pointers and captureless lambdas: no per-session
+    // heap allocation.
+    duplex.b_to_a().set_frame_sizer(&frame_wire_bytes);
+    duplex.a_to_b().set_frame_sizer(&frame_wire_bytes);
+    duplex.b_to_a().set_msg_sizer(&frame_wire_bytes_single);
+    duplex.a_to_b().set_msg_sizer(&frame_wire_bytes_single);
+    const auto flush = [](const VvMsg& m) { return m.kind != VvMsg::Kind::kElem; };
+    duplex.b_to_a().set_flush_after(flush);
+    duplex.a_to_b().set_flush_after(flush);
+    // Taps are read in place from the options (which outlive the session) —
+    // copying them here would clone a std::function per tap per session.
+    bool any_tap = false;
+    for (const auto& t : opt.taps) any_tap = any_tap || static_cast<bool>(t);
+    if (any_tap || tracer != nullptr || recorder != nullptr || causal != nullptr) {
+      duplex.b_to_a().set_tap([this](sim::Time at, const VvMsg& m, std::uint64_t bits) {
+        observe(at, true, m, bits);
+      });
+      duplex.a_to_b().set_tap([this](sim::Time at, const VvMsg& m, std::uint64_t bits) {
+        observe(at, false, m, bits);
+      });
+    }
+    if (causal != nullptr) {
+      // The session's hop span, opened at construction (== session start
+      // time). The delivery taps stamp the receive half of every
+      // send → receive edge at the message's exact arrival instant.
+      span = causal->begin_span(loop.now(), parent.span, opt.src_site, opt.dst_site,
+                                parent.attempt);
+      duplex.b_to_a().set_delivery_tap([this](sim::Time at, const VvMsg& m) {
+        observe_recv(at, true, m);
+      });
+      duplex.a_to_b().set_delivery_tap([this](sim::Time at, const VvMsg& m) {
+        observe_recv(at, false, m);
+      });
+    }
+  }
+
+  // Install the endpoints' delivery handlers. When fault injection is on, a
+  // FaultInjector interposes per direction; with faults off no injector is
+  // constructed and the delivery path is identical to the pre-fault build
+  // (fault-free bit-identity is a hard invariant, tested).
+  void connect(Handler to_receiver, Handler to_sender, VectorKind size_kind) {
+    if (opt_->net.faults.enabled()) {
+      // Reordered messages are held one propagation latency by default (plus
+      // ε so zero-latency links still reorder).
+      const sim::Time hold = opt_->net.latency_s + 1e-6;
+      // Decorrelate sessions sharing one loop: each session would otherwise
+      // replay the identical prefix of the (seed, salt) fault stream — a few
+      // unlucky leading rolls would then repeat in every session of a run.
+      // The executed-event count is deterministic, so runs stay reproducible.
+      sim::NetConfig::FaultConfig fc = opt_->net.faults;
+      fc.seed = sim::fault_stream_seed(fc.seed, 0xA5A5ULL + loop_->executed_events());
+      inj_fwd.emplace(loop_, fc, sim::kFaultSaltForward, hold);
+      inj_rev.emplace(loop_, fc, sim::kFaultSaltReverse, hold);
+      inj_fwd->set_receiver(std::move(to_receiver));
+      inj_rev->set_receiver(std::move(to_sender));
+      inj_fwd->set_corrupter(make_corrupter(opt_->cost, size_kind, Direction::kForward));
+      inj_rev->set_corrupter(make_corrupter(opt_->cost, size_kind, Direction::kReverse));
+      if (recorder != nullptr || causal != nullptr) {
+        inj_fwd->set_observer([this](sim::FaultKind k, bool dec, const VvMsg& m) {
+          on_fault(true, k, dec, m);
+        });
+        inj_rev->set_observer([this](sim::FaultKind k, bool dec, const VvMsg& m) {
+          on_fault(false, k, dec, m);
+        });
+      }
+      duplex.b_to_a().set_receiver([this](const VvMsg& m) { inj_fwd->deliver(m); });
+      duplex.a_to_b().set_receiver([this](const VvMsg& m) { inj_rev->deliver(m); });
+    } else {
+      duplex.b_to_a().set_receiver(std::move(to_receiver));
+      duplex.a_to_b().set_receiver(std::move(to_sender));
+    }
+  }
+
+  // The event every observer takes for one wire message, or — with `fault`
+  // set — for what the injector did to it.
+  obs::TraceEvent wire_event(sim::Time at, bool forward, const VvMsg& m, std::uint64_t bits,
+                             obs::FlightFault fault) const {
+    return {.at = at,
+            .session = session,
+            .type = wire_event_type(m),
+            .forward = forward,
+            .fault = fault,
+            .site = m.site,
+            .value = m.kind == VvMsg::Kind::kSkip ? m.arg : m.value,
+            .bits = bits};
+  }
+
+  void observe(sim::Time at, bool forward, const VvMsg& m, std::uint64_t bits) {
+    for (const auto& t : opt_->taps) {
+      if (t) t(forward, m);
+    }
+    const obs::TraceEvent e = wire_event(at, forward, m, bits, obs::FlightFault::kNone);
+    if (tracer != nullptr) tracer->record(e);
+    if (recorder != nullptr) recorder->record(e);
+    if (causal != nullptr) causal_wire(at, /*recv=*/false, forward, m, bits);
+  }
+
+  // Delivery tap: the receive half of a send → receive edge, stamped at the
+  // message's arrival instant (before any fault-injector verdict — a dropped
+  // message shows a recv followed by its kFault). Bits are charged on the
+  // send event; the receive edge carries timing only.
+  void observe_recv(sim::Time at, bool forward, const VvMsg& m) {
+    causal_wire(at, /*recv=*/true, forward, m, 0);
+  }
+
+  // A wire edge names an update only for messages that carry one (ELEM and
+  // PROBE); a SKIP carries its segment index, other control messages 0.
+  void causal_wire(sim::Time at, bool recv, bool forward, const VvMsg& m,
+                   std::uint64_t bits) {
+    const bool upd = protocol::carries_update_context(m);
+    causal->wire(at, recv, span, forward, upd ? m.site : SiteId{},
+                 upd ? m.value : (m.kind == VvMsg::Kind::kSkip ? m.arg : 0), bits);
+  }
+
+  // Fault-injection observer: annotate the affected message in the ring. A
+  // typed decode error is the anomaly class worth a post-mortem on its own —
+  // it means a corruption got past the model's checksum assumption and only
+  // the codec caught it — so it also triggers the freeze.
+  void on_fault(bool forward, sim::FaultKind k, bool decode_error, const VvMsg& m) {
+    const obs::TraceEvent e =
+        wire_event(loop_->now(), forward, m, 0, flight_fault(k, decode_error));
+    if (recorder != nullptr) {
+      recorder->record(e);
+      if (e.fault == obs::FlightFault::kDecodeError) {
+        recorder->trigger("decode_error", e.at);
+      }
+    }
+    if (causal != nullptr) causal->fault(e.at, span, forward, e.fault, e.site, e.value);
+  }
+
+  // A receiver core's trace action (protocol/core.h): the applied / redundant
+  // / straggler classification of one element. An applied element is the
+  // moment receiver state advanced, so it is also a kApply causal edge.
+  void core_event(obs::TraceEventType type, const VvMsg& m) {
+    if (causal != nullptr && type == obs::TraceEventType::kElemApplied) {
+      causal->apply(loop_->now(), span, m.site, m.value);
+    }
+    if (tracer != nullptr) {
+      tracer->record({.at = loop_->now(), .session = session, .type = type, .site = m.site,
+                      .value = m.value});
+    }
+  }
+
+  void trace_boundary(obs::TraceEventType type, std::uint64_t bits) {
+    if (tracer != nullptr) {
+      tracer->record({.at = loop_->now(), .session = session, .type = type, .bits = bits});
+    }
+  }
+
+  // Close any open frames (end of session is a flush point) and harvest the
+  // framing figures, the event-loop dispatch count, and the fault statistics
+  // into the report.
+  void harvest_framing(std::uint64_t events_before, SyncReport& r) {
+    duplex.b_to_a().close_frame();
+    duplex.a_to_b().close_frame();
+    r.frames_fwd = duplex.b_to_a().stats().frames;
+    r.frames_rev = duplex.a_to_b().stats().frames;
+    r.framed_bytes_fwd = duplex.b_to_a().stats().framed_wire_bytes;
+    r.framed_bytes_rev = duplex.a_to_b().stats().framed_wire_bytes;
+    r.loop_events = loop_->executed_events() - events_before;
+    if (inj_fwd.has_value()) {
+      r.faults_dropped = inj_fwd->stats().dropped + inj_rev->stats().dropped;
+      r.faults_duplicated = inj_fwd->stats().duplicated + inj_rev->stats().duplicated;
+      r.faults_reordered = inj_fwd->stats().reordered + inj_rev->stats().reordered;
+      r.faults_corrupted = inj_fwd->stats().corrupted + inj_rev->stats().corrupted;
+      r.faults_decode_errors =
+          inj_fwd->stats().corrupt_decode_errors + inj_rev->stats().corrupt_decode_errors;
+    }
+  }
+
+  sim::FrameDuplex<VvMsg> duplex;  // a_to_b: receiver→sender, b_to_a: sender→receiver
+  sim::EventLoop* loop_;
+  const SyncOptions* opt_;
+  obs::Tracer* tracer{nullptr};
+  obs::FlightRecorder* recorder{nullptr};
+  obs::CausalTracer* causal{nullptr};
+  std::uint64_t span{0};  // this session's causal hop span (0 when untraced)
+  std::uint64_t session{0};
+  std::optional<sim::FaultInjector<VvMsg>> inj_fwd;
+  std::optional<sim::FaultInjector<VvMsg>> inj_rev;
+};
+
 // Pumps one protocol core over one direction of the simulated transport:
 // executes the core's actions (sized counted sends, revocations, parked
 // continuations, trace markers) and feeds arriving messages back as events.
@@ -178,14 +382,14 @@ protocol::Actions& scratch_actions() {
 template <class Core>
 class CoreDriver {
  public:
-  CoreDriver(sim::EventLoop* loop, sim::FrameLink<VvMsg>* tx, const SyncOptions* opt,
-             VectorKind size_kind, Core core, const std::uint64_t* causal_span = nullptr)
-      : loop_(loop),
+  CoreDriver(SessionWiring* wiring, sim::FrameLink<VvMsg>* tx, VectorKind size_kind,
+             Core core)
+      : loop_(wiring->loop_),
         tx_(tx),
-        opt_(opt),
+        opt_(wiring->opt_),
+        wiring_(wiring),
         size_kind_(size_kind),
-        core_(std::move(core)),
-        causal_span_(causal_span) {}
+        core_(std::move(core)) {}
 
   // Parked continuations capture `this`: pinned to the construction address.
   CoreDriver(const CoreDriver&) = delete;
@@ -233,24 +437,6 @@ class CoreDriver {
     return tx_->send(m, bits, bytes, revocable);
   }
 
-  void trace(obs::TraceEventType type, const VvMsg& m) {
-    // The cores' trace actions carry causal context (protocol/core.h): an
-    // applied element is the moment receiver state advanced, so it becomes a
-    // kApply edge on the session's span.
-    if (opt_->causal != nullptr && type == obs::TraceEventType::kElemApplied) {
-      opt_->causal->apply(loop_->now(), causal_span_ != nullptr ? *causal_span_ : 0,
-                          m.site, m.value);
-    }
-    if (opt_->tracer == nullptr) return;
-    opt_->tracer->record(obs::TraceEvent{.at = loop_->now(),
-                                         .session = opt_->trace_session,
-                                         .type = type,
-                                         .forward = true,
-                                         .site = m.site,
-                                         .value = m.value,
-                                         .bits = 0});
-  }
-
   void dispatch(const protocol::Event& ev) {
     protocol::Actions& acts = scratch_actions();
     acts.clear();
@@ -289,13 +475,13 @@ class CoreDriver {
           }
           break;
         case protocol::Action::Type::kTraceApplied:
-          trace(obs::TraceEventType::kElemApplied, a.msg);
+          wiring_->core_event(obs::TraceEventType::kElemApplied, a.msg);
           break;
         case protocol::Action::Type::kTraceRedundant:
-          trace(obs::TraceEventType::kElemRedundant, a.msg);
+          wiring_->core_event(obs::TraceEventType::kElemRedundant, a.msg);
           break;
         case protocol::Action::Type::kTraceStraggler:
-          trace(obs::TraceEventType::kElemStraggler, a.msg);
+          wiring_->core_event(obs::TraceEventType::kElemStraggler, a.msg);
           break;
       }
     }
@@ -304,209 +490,12 @@ class CoreDriver {
   sim::EventLoop* loop_;
   sim::FrameLink<VvMsg>* tx_;
   const SyncOptions* opt_;
+  SessionWiring* wiring_;
   VectorKind size_kind_;
   Core core_;
-  const std::uint64_t* causal_span_{nullptr};  // wiring's session span id
   sim::EventLoop::EventId pending_{0};
   sim::Time resume_{0};
   sim::Time done_at_{0};
-};
-
-struct SessionWiring {
-  using Handler = std::function<void(const VvMsg&)>;
-
-  explicit SessionWiring(sim::EventLoop& loop, const SyncOptions& opt)
-      : duplex(&loop, opt.net),
-        loop_(&loop),
-        opt_(&opt),
-        tracer(opt.tracer),
-        recorder(opt.recorder),
-        causal(opt.causal),
-        session(opt.trace_session) {
-    // Realistic framed-byte accounting (vv/frame_codec.h) and the control
-    // flush rule. Function pointers and captureless lambdas: no per-session
-    // heap allocation.
-    duplex.b_to_a().set_frame_sizer(&frame_wire_bytes);
-    duplex.a_to_b().set_frame_sizer(&frame_wire_bytes);
-    duplex.b_to_a().set_msg_sizer(&frame_wire_bytes_single);
-    duplex.a_to_b().set_msg_sizer(&frame_wire_bytes_single);
-    const auto flush = [](const VvMsg& m) { return m.kind != VvMsg::Kind::kElem; };
-    duplex.b_to_a().set_flush_after(flush);
-    duplex.a_to_b().set_flush_after(flush);
-    // Taps are read in place from the options (which outlive the session) —
-    // copying them here would clone a std::function per tap per session.
-    bool any_tap = false;
-    for (const auto& t : opt.taps) any_tap = any_tap || static_cast<bool>(t);
-    if (any_tap || tracer != nullptr || recorder != nullptr || causal != nullptr) {
-      duplex.b_to_a().set_tap([this](sim::Time at, const VvMsg& m, std::uint64_t bits) {
-        observe(at, true, m, bits);
-      });
-      duplex.a_to_b().set_tap([this](sim::Time at, const VvMsg& m, std::uint64_t bits) {
-        observe(at, false, m, bits);
-      });
-    }
-    if (causal != nullptr) {
-      // The session's hop span, opened at construction (== session start
-      // time). The delivery taps stamp the receive half of every
-      // send → receive edge at the message's exact arrival instant.
-      span = causal->begin_span(loop.now(), opt.causal_parent, opt.src_site,
-                                opt.dst_site, opt.causal_attempt);
-      duplex.b_to_a().set_delivery_tap([this](sim::Time at, const VvMsg& m) {
-        observe_recv(at, true, m);
-      });
-      duplex.a_to_b().set_delivery_tap([this](sim::Time at, const VvMsg& m) {
-        observe_recv(at, false, m);
-      });
-    }
-  }
-
-  // Install the endpoints' delivery handlers. When fault injection is on, a
-  // FaultInjector interposes per direction; with faults off no injector is
-  // constructed and the delivery path is identical to the pre-fault build
-  // (fault-free bit-identity is a hard invariant, tested).
-  void connect(Handler to_receiver, Handler to_sender, VectorKind size_kind) {
-    if (opt_->net.faults.enabled()) {
-      // Reordered messages are held one propagation latency by default (plus
-      // ε so zero-latency links still reorder).
-      const sim::Time hold = opt_->net.latency_s + 1e-6;
-      // Decorrelate sessions sharing one loop: each session would otherwise
-      // replay the identical prefix of the (seed, salt) fault stream — a few
-      // unlucky leading rolls would then repeat in every session of a run.
-      // The executed-event count is deterministic, so runs stay reproducible.
-      sim::NetConfig::FaultConfig fc = opt_->net.faults;
-      fc.seed = sim::fault_stream_seed(fc.seed, 0xA5A5ULL + loop_->executed_events());
-      inj_fwd.emplace(loop_, fc, sim::kFaultSaltForward, hold);
-      inj_rev.emplace(loop_, fc, sim::kFaultSaltReverse, hold);
-      inj_fwd->set_receiver(std::move(to_receiver));
-      inj_rev->set_receiver(std::move(to_sender));
-      inj_fwd->set_corrupter(make_corrupter(opt_->cost, size_kind, Direction::kForward));
-      inj_rev->set_corrupter(make_corrupter(opt_->cost, size_kind, Direction::kReverse));
-      if (recorder != nullptr || causal != nullptr) {
-        inj_fwd->set_observer([this](sim::FaultKind k, bool dec, const VvMsg& m) {
-          on_fault(true, k, dec, m);
-        });
-        inj_rev->set_observer([this](sim::FaultKind k, bool dec, const VvMsg& m) {
-          on_fault(false, k, dec, m);
-        });
-      }
-      duplex.b_to_a().set_receiver([this](const VvMsg& m) { inj_fwd->deliver(m); });
-      duplex.a_to_b().set_receiver([this](const VvMsg& m) { inj_rev->deliver(m); });
-    } else {
-      duplex.b_to_a().set_receiver(std::move(to_receiver));
-      duplex.a_to_b().set_receiver(std::move(to_sender));
-    }
-  }
-
-  void observe(sim::Time at, bool forward, const VvMsg& m, std::uint64_t bits) {
-    for (const auto& t : opt_->taps) {
-      if (t) t(forward, m);
-    }
-    if (tracer != nullptr) {
-      tracer->record(obs::TraceEvent{.at = at,
-                                     .session = session,
-                                     .type = wire_event_type(forward, m),
-                                     .forward = forward,
-                                     .site = m.site,
-                                     .value = m.kind == VvMsg::Kind::kSkip ? m.arg : m.value,
-                                     .bits = bits});
-    }
-    if (recorder != nullptr) {
-      recorder->record(obs::FlightRecord{
-          .at = at,
-          .session = session,
-          .type = wire_event_type(forward, m),
-          .forward = forward,
-          .site = m.site,
-          .value = m.kind == VvMsg::Kind::kSkip ? m.arg : m.value,
-          .bits = bits,
-          .fault = obs::FlightFault::kNone});
-    }
-    if (causal != nullptr) {
-      const bool upd = protocol::carries_update_context(m);
-      causal->wire(at, /*recv=*/false, span, forward, upd ? m.site : SiteId{},
-                   upd ? m.value : (m.kind == VvMsg::Kind::kSkip ? m.arg : 0), bits);
-    }
-  }
-
-  // Delivery tap: the receive half of a send → receive edge, stamped at the
-  // message's arrival instant (before any fault-injector verdict — a dropped
-  // message shows a recv followed by its kFault). Bits are charged on the
-  // send event; the receive edge carries timing only.
-  void observe_recv(sim::Time at, bool forward, const VvMsg& m) {
-    const bool upd = protocol::carries_update_context(m);
-    causal->wire(at, /*recv=*/true, span, forward, upd ? m.site : SiteId{},
-                 upd ? m.value : (m.kind == VvMsg::Kind::kSkip ? m.arg : 0), 0);
-  }
-
-  // Fault-injection observer: annotate the affected message in the ring. A
-  // typed decode error is the anomaly class worth a post-mortem on its own —
-  // it means a corruption got past the model's checksum assumption and only
-  // the codec caught it — so it also triggers the freeze.
-  void on_fault(bool forward, sim::FaultKind k, bool decode_error, const VvMsg& m) {
-    const obs::FlightFault f = flight_fault(k, decode_error);
-    if (recorder != nullptr) {
-      recorder->record(obs::FlightRecord{
-          .at = loop_->now(),
-          .session = session,
-          .type = wire_event_type(forward, m),
-          .forward = forward,
-          .site = m.site,
-          .value = m.kind == VvMsg::Kind::kSkip ? m.arg : m.value,
-          .bits = 0,
-          .fault = f});
-      if (f == obs::FlightFault::kDecodeError) {
-        recorder->trigger("decode_error", loop_->now());
-      }
-    }
-    if (causal != nullptr) {
-      causal->fault(loop_->now(), span, forward, f, m.site,
-                    m.kind == VvMsg::Kind::kSkip ? m.arg : m.value);
-    }
-  }
-
-  void trace_boundary(sim::EventLoop& loop, obs::TraceEventType type, std::uint64_t bits) {
-    if (tracer != nullptr) {
-      tracer->record(obs::TraceEvent{.at = loop.now(),
-                                     .session = session,
-                                     .type = type,
-                                     .forward = true,
-                                     .site = SiteId{},
-                                     .value = 0,
-                                     .bits = bits});
-    }
-  }
-
-  // Close any open frames (end of session is a flush point) and harvest the
-  // framing figures, the event-loop dispatch count, and the fault statistics
-  // into the report.
-  void harvest_framing(sim::EventLoop& loop, std::uint64_t events_before, SyncReport& r) {
-    duplex.b_to_a().close_frame();
-    duplex.a_to_b().close_frame();
-    r.frames_fwd = duplex.b_to_a().stats().frames;
-    r.frames_rev = duplex.a_to_b().stats().frames;
-    r.framed_bytes_fwd = duplex.b_to_a().stats().framed_wire_bytes;
-    r.framed_bytes_rev = duplex.a_to_b().stats().framed_wire_bytes;
-    r.loop_events = loop.executed_events() - events_before;
-    if (inj_fwd.has_value()) {
-      r.faults_dropped = inj_fwd->stats().dropped + inj_rev->stats().dropped;
-      r.faults_duplicated = inj_fwd->stats().duplicated + inj_rev->stats().duplicated;
-      r.faults_reordered = inj_fwd->stats().reordered + inj_rev->stats().reordered;
-      r.faults_corrupted = inj_fwd->stats().corrupted + inj_rev->stats().corrupted;
-      r.faults_decode_errors =
-          inj_fwd->stats().corrupt_decode_errors + inj_rev->stats().corrupt_decode_errors;
-    }
-  }
-
-  sim::FrameDuplex<VvMsg> duplex;  // a_to_b: receiver→sender, b_to_a: sender→receiver
-  sim::EventLoop* loop_;
-  const SyncOptions* opt_;
-  obs::Tracer* tracer{nullptr};
-  obs::FlightRecorder* recorder{nullptr};
-  obs::CausalTracer* causal{nullptr};
-  std::uint64_t span{0};  // this session's causal hop span (0 when untraced)
-  std::uint64_t session{0};
-  std::optional<sim::FaultInjector<VvMsg>> inj_fwd;
-  std::optional<sim::FaultInjector<VvMsg>> inj_rev;
 };
 
 // The one shared report builder: rotating sessions and baseline sessions
@@ -552,19 +541,18 @@ struct SessionAccounting {
 // fresh framed duplex until the loop quiesces, then builds the report.
 // Messages are sized as `size_kind` elements (baselines: plain BRV elements).
 template <class SenderCore, class ReceiverCore>
-SyncReport run_session(sim::EventLoop& loop, const SyncOptions& opt, VectorKind size_kind,
-                       Ordering rel, std::uint64_t compare_bits, SenderCore sender_core,
-                       ReceiverCore receiver_core) {
-  SessionWiring w(loop, opt);
-  CoreDriver<SenderCore> sender(&loop, &w.duplex.b_to_a(), &opt, size_kind,
-                                std::move(sender_core), &w.span);
-  CoreDriver<ReceiverCore> receiver(&loop, &w.duplex.a_to_b(), &opt, size_kind,
-                                    std::move(receiver_core), &w.span);
+SyncReport run_session(sim::EventLoop& loop, const SyncOptions& opt, SpanParent parent,
+                       VectorKind size_kind, Ordering rel, std::uint64_t compare_bits,
+                       SenderCore sender_core, ReceiverCore receiver_core) {
+  SessionWiring w(loop, opt, parent);
+  CoreDriver<SenderCore> sender(&w, &w.duplex.b_to_a(), size_kind, std::move(sender_core));
+  CoreDriver<ReceiverCore> receiver(&w, &w.duplex.a_to_b(), size_kind,
+                                    std::move(receiver_core));
   w.connect([&receiver](const VvMsg& m) { receiver.on_message(m); },
             [&sender](const VvMsg& m) { sender.on_message(m); }, size_kind);
   const sim::Time t0 = loop.now();
   const std::uint64_t ev0 = loop.executed_events();
-  w.trace_boundary(loop, obs::TraceEventType::kSessionBegin, 0);
+  w.trace_boundary(obs::TraceEventType::kSessionBegin, 0);
   loop.schedule(t0, [&sender] { sender.start(); });
   const sim::Time t_end = loop.run();
   if (opt.net.faults.enabled() && !receiver.core().finished()) {
@@ -584,8 +572,8 @@ SyncReport run_session(sim::EventLoop& loop, const SyncOptions& opt, VectorKind 
                               receiver.done_at(),
                               sender.core().violations()};
   SyncReport r = acc.build();
-  w.harvest_framing(loop, ev0, r);
-  w.trace_boundary(loop, obs::TraceEventType::kSessionEnd, r.total_bits());
+  w.harvest_framing(ev0, r);
+  w.trace_boundary(obs::TraceEventType::kSessionEnd, r.total_bits());
   if (w.causal != nullptr) {
     // `ok` = the receiver reached clean protocol quiescence (always true
     // fault-free; under faults a dropped control message can strand it).
@@ -623,46 +611,52 @@ Ordering resolve_relation(const RotatingVector& a, const RotatingVector& b,
   return compare_fast(a, b);
 }
 
+// One rotating-vector session: SYNCB, SYNCC or SYNCS as `algo` says, with
+// messages sized as opt.kind elements.
+SyncReport run_rotating(sim::EventLoop& loop, RotatingVector& a, const RotatingVector& b,
+                        const SyncOptions& opt, VectorKind algo, SpanParent parent) {
+  OPTREP_SPAN(algo == VectorKind::kBrv   ? "vv.syncb"
+              : algo == VectorKind::kCrv ? "vv.syncc"
+                                         : "vv.syncs");
+  std::uint64_t cb = 0;
+  const Ordering rel = resolve_relation(a, b, opt, &cb);
+  const bool pipelined = opt.mode == TransferMode::kPipelined;
+  const bool concurrent = rel == Ordering::kConcurrent;
+  switch (algo) {
+    case VectorKind::kBrv:
+      return run_session(loop, opt, parent, opt.kind, rel, cb, element_sender(opt, b),
+                         protocol::BasicReceiverCore(pipelined, &a));
+    case VectorKind::kCrv:
+      return run_session(loop, opt, parent, opt.kind, rel, cb, element_sender(opt, b),
+                         protocol::ConflictReceiverCore(pipelined, &a, concurrent));
+    case VectorKind::kSrv:
+      return run_session(loop, opt, parent, opt.kind, rel, cb, element_sender(opt, b),
+                         protocol::SkipReceiverCore(pipelined, &a, concurrent));
+  }
+  OPTREP_CHECK(false);
+  return {};
+}
+
 }  // namespace
 
 SyncReport sync_basic(sim::EventLoop& loop, RotatingVector& a, const RotatingVector& b,
                       const SyncOptions& opt) {
-  OPTREP_SPAN("vv.syncb");
-  std::uint64_t cb = 0;
-  const Ordering rel = resolve_relation(a, b, opt, &cb);
-  return run_session(loop, opt, opt.kind, rel, cb, element_sender(opt, b),
-                     protocol::BasicReceiverCore(opt.mode == TransferMode::kPipelined, &a));
+  return run_rotating(loop, a, b, opt, VectorKind::kBrv, {});
 }
 
 SyncReport sync_conflict(sim::EventLoop& loop, RotatingVector& a, const RotatingVector& b,
                          const SyncOptions& opt) {
-  OPTREP_SPAN("vv.syncc");
-  std::uint64_t cb = 0;
-  const Ordering rel = resolve_relation(a, b, opt, &cb);
-  return run_session(loop, opt, opt.kind, rel, cb, element_sender(opt, b),
-                     protocol::ConflictReceiverCore(opt.mode == TransferMode::kPipelined, &a,
-                                                    rel == Ordering::kConcurrent));
+  return run_rotating(loop, a, b, opt, VectorKind::kCrv, {});
 }
 
 SyncReport sync_skip(sim::EventLoop& loop, RotatingVector& a, const RotatingVector& b,
                      const SyncOptions& opt) {
-  OPTREP_SPAN("vv.syncs");
-  std::uint64_t cb = 0;
-  const Ordering rel = resolve_relation(a, b, opt, &cb);
-  return run_session(loop, opt, opt.kind, rel, cb, element_sender(opt, b),
-                     protocol::SkipReceiverCore(opt.mode == TransferMode::kPipelined, &a,
-                                                rel == Ordering::kConcurrent));
+  return run_rotating(loop, a, b, opt, VectorKind::kSrv, {});
 }
 
 SyncReport sync_rotating(sim::EventLoop& loop, RotatingVector& a, const RotatingVector& b,
                          const SyncOptions& opt) {
-  switch (opt.kind) {
-    case VectorKind::kBrv: return sync_basic(loop, a, b, opt);
-    case VectorKind::kCrv: return sync_conflict(loop, a, b, opt);
-    case VectorKind::kSrv: return sync_skip(loop, a, b, opt);
-  }
-  OPTREP_CHECK(false);
-  return {};
+  return run_rotating(loop, a, b, opt, opt.kind, {});
 }
 
 namespace {
@@ -724,8 +718,7 @@ SyncReport sync_with_recovery(sim::EventLoop& loop, RotatingVector& a, const Rot
   // backoff into one hop.
   std::uint64_t root = 0;
   if (opt.causal != nullptr) {
-    root = opt.causal->begin_span(t0, opt.causal_parent, opt.src_site, opt.dst_site,
-                                  opt.causal_attempt);
+    root = opt.causal->begin_span(t0, 0, opt.src_site, opt.dst_site, 0);
   }
   // The receiver's pre-sync state. Every attempt starts from here: the
   // receiver-halt rule (Alg 2/3/4 stop at the first already-known element)
@@ -787,11 +780,10 @@ SyncReport sync_with_recovery(sim::EventLoop& loop, RotatingVector& a, const Rot
     cur.known_relation = rel0;
     // Every attempt observes an independent deterministic fault pattern.
     cur.net.faults.seed = sim::fault_attempt_seed(opt.net.faults.seed, runs);
-    cur.causal_parent = root;
-    cur.causal_attempt = runs;
     if (opt.recorder != nullptr) opt.recorder->note_attempt(runs);
     const sim::Time astart = loop.now();
-    const SyncReport r = sync_rotating(loop, a, b, cur);
+    // Each attempt's session span hangs under the recovery root.
+    const SyncReport r = run_rotating(loop, a, b, cur, cur.kind, {root, runs});
     accumulate_attempt(total, r, runs > 0, astart - t0);
     ++runs;
   }
@@ -826,7 +818,7 @@ SyncReport sync_traditional(sim::EventLoop& loop, VersionVector& a, const Versio
   OPTREP_SPAN("vv.traditional");
   const Ordering rel = a.compare(b);
   const auto to_send = sorted_elements(b);
-  return run_session(loop, opt, VectorKind::kBrv, rel, /*compare_bits=*/0,
+  return run_session(loop, opt, {}, VectorKind::kBrv, rel, /*compare_bits=*/0,
                      protocol::BaselineSenderCore(&to_send), protocol::BaselineReceiverCore(&a));
 }
 
@@ -840,7 +832,7 @@ SyncReport sync_singhal_kshemkalyani(sim::EventLoop& loop, VersionVector& a,
     if (value > last_sent.value(site)) delta.emplace_back(site, value);
   }
   last_sent = b;
-  return run_session(loop, opt, VectorKind::kBrv, rel, /*compare_bits=*/0,
+  return run_session(loop, opt, {}, VectorKind::kBrv, rel, /*compare_bits=*/0,
                      protocol::BaselineSenderCore(&delta), protocol::BaselineReceiverCore(&a));
 }
 

@@ -72,21 +72,19 @@ struct SyncOptions {
   std::uint64_t trace_session{0};
   obs::Registry* metrics{nullptr};
 
-  // Optional flight recorder (obs/flight_recorder.h): every wire message and
-  // every injected fault lands in its ring, stamped with trace_session; typed
-  // decode errors and retry exhaustion trigger it. Shares the tracer's tap —
-  // no extra per-message cost when unset.
+  // Optional flight recorder (obs/flight_recorder.h): the TraceEvent of every
+  // wire message — the one the tracer records — and of every injected fault
+  // lands in its ring; typed decode errors and retry exhaustion trigger it.
+  // Shares the tracer's tap — no extra per-message cost when unset.
   obs::FlightRecorder* recorder{nullptr};
 
   // Causal propagation tracing (obs/causal.h): with `causal` set every
-  // session opens a span (parented under `causal_parent`, stamped with the
-  // retry `causal_attempt`) and emits send/receive/fault/apply edges onto
-  // it; sync_with_recovery opens a root span per call and parents each
-  // attempt under it. src_site/dst_site label the replica sites when the
-  // caller knows them (the repl systems do; standalone sessions leave 0).
+  // session opens a span and emits send/receive/fault/apply edges onto it;
+  // sync_with_recovery opens a root span per call and parents each attempt's
+  // span under it, stamped with the attempt index. src_site/dst_site label
+  // the replica sites when the caller knows them (the repl systems do;
+  // standalone sessions leave 0).
   obs::CausalTracer* causal{nullptr};
-  std::uint64_t causal_parent{0};
-  std::uint32_t causal_attempt{0};
   SiteId src_site{};
   SiteId dst_site{};
 

@@ -144,6 +144,42 @@ bool ensure_replica(System& sys, RunStats& stats, SiteId site, ObjectId obj,
   return false;
 }
 
+// Anti-entropy sweeps: ring passes over each object's hosts in both
+// directions, repeated until every object is consistent or the round budget
+// runs out.
+template <class System>
+void anti_entropy(System& sys, const Trace& trace, RunStats& stats) {
+  for (std::uint32_t round = 0; round < 4 * trace.n_sites + 8; ++round) {
+    OPTREP_SPAN("wl.anti_entropy");
+    bool all_consistent = true;
+    for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
+      const ObjectId obj{o};
+      const auto hosts = sys.hosts_of(obj);
+      if (hosts.size() < 2) continue;
+      for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
+        sys.sync(hosts[i + 1], hosts[i], obj);
+        ++stats.syncs;
+      }
+      for (std::size_t i = hosts.size() - 1; i > 0; --i) {
+        sys.sync(hosts[i - 1], hosts[i], obj);
+        ++stats.syncs;
+      }
+      if (!sys.replicas_consistent(obj)) all_consistent = false;
+    }
+    stats.anti_entropy_rounds = round + 1;
+    if (all_consistent) break;
+  }
+}
+
+// The final verdict of every driver: do all of each object's replicas agree?
+template <class System>
+bool every_object_consistent(const System& sys, const Trace& trace) {
+  for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
+    if (!sys.replicas_consistent(ObjectId{o})) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 RunStats run_state(repl::StateSystem& sys, const Trace& trace, bool drive_to_consistency) {
@@ -184,34 +220,13 @@ RunStats run_state(repl::StateSystem& sys, const Trace& trace, bool drive_to_con
     }
   }
 
+  // Manual resolution holds conflicting replicas out of the system, so only
+  // automatic runs are driven to consistency.
   if (drive_to_consistency &&
       sys.config().policy == repl::ResolutionPolicy::kAutomatic) {
-    // Anti-entropy sweeps: ring passes in both directions until stable.
-    for (std::uint32_t round = 0; round < 4 * trace.n_sites + 8; ++round) {
-      OPTREP_SPAN("wl.anti_entropy");
-      bool all_consistent = true;
-      for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
-        const ObjectId obj{o};
-        auto hosts = sys.hosts_of(obj);
-        if (hosts.size() < 2) continue;
-        for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
-          sys.sync(hosts[i + 1], hosts[i], obj);
-          ++stats.syncs;
-        }
-        for (std::size_t i = hosts.size() - 1; i > 0; --i) {
-          sys.sync(hosts[i - 1], hosts[i], obj);
-          ++stats.syncs;
-        }
-        if (!sys.replicas_consistent(obj)) all_consistent = false;
-      }
-      stats.anti_entropy_rounds = round + 1;
-      if (all_consistent) break;
-    }
+    anti_entropy(sys, trace, stats);
   }
-  stats.eventually_consistent = true;
-  for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
-    if (!sys.replicas_consistent(ObjectId{o})) stats.eventually_consistent = false;
-  }
+  stats.eventually_consistent = every_object_consistent(sys, trace);
   return stats;
 }
 
@@ -331,10 +346,7 @@ RunStats run_state_parallel(repl::StateSystem& sys, const Trace& trace,
       if (all_consistent) break;
     }
   }
-  stats.eventually_consistent = true;
-  for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
-    if (!sys.replicas_consistent(ObjectId{o})) stats.eventually_consistent = false;
-  }
+  stats.eventually_consistent = every_object_consistent(sys, trace);
   return stats;
 }
 
@@ -371,32 +383,8 @@ RunStats run_op(repl::OpSystem& sys, const Trace& trace, bool drive_to_consisten
     }
   }
 
-  if (drive_to_consistency) {
-    for (std::uint32_t round = 0; round < 4 * trace.n_sites + 8; ++round) {
-      OPTREP_SPAN("wl.anti_entropy");
-      bool all_consistent = true;
-      for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
-        const ObjectId obj{o};
-        const auto hosts = sys.hosts_of(obj);
-        if (hosts.size() < 2) continue;
-        for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
-          sys.sync(hosts[i + 1], hosts[i], obj);
-          ++stats.syncs;
-        }
-        for (std::size_t i = hosts.size() - 1; i > 0; --i) {
-          sys.sync(hosts[i - 1], hosts[i], obj);
-          ++stats.syncs;
-        }
-        if (!sys.replicas_consistent(obj)) all_consistent = false;
-      }
-      stats.anti_entropy_rounds = round + 1;
-      if (all_consistent) break;
-    }
-  }
-  stats.eventually_consistent = true;
-  for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
-    if (!sys.replicas_consistent(ObjectId{o})) stats.eventually_consistent = false;
-  }
+  if (drive_to_consistency) anti_entropy(sys, trace, stats);
+  stats.eventually_consistent = every_object_consistent(sys, trace);
   return stats;
 }
 

@@ -10,6 +10,7 @@
 #include "repl/op_system.h"
 #include "repl/record_system.h"
 #include "repl/state_system.h"
+#include "workload/trace.h"
 
 namespace optrep::repl {
 namespace {
@@ -88,6 +89,29 @@ TEST(ReplFaults, FaultTotalsAccumulateAcrossSessions) {
   EXPECT_GT(t.faults_injected, 0u);
   EXPECT_GT(t.retries + t.sync_failures, 0u);
   EXPECT_GT(t.recovery_bits, 0u);
+}
+
+// A failed sync leaves the receiver exactly as it was (vv::sync_with_recovery
+// restores it), so lossy runs keep both oracle cross-checks on: every COMPARE
+// verdict and every merged vector is checked against ground truth.
+TEST(ReplFaults, LossyRunKeepsOracleChecks) {
+  StateSystem::Config cfg;
+  cfg.n_sites = 8;
+  cfg.kind = vv::VectorKind::kSrv;
+  cfg.cost = CostModel{.n = 8, .m = 1 << 16};
+  cfg.net.faults.drop = 0.05;
+  cfg.net.faults.duplicate = 0.02;
+  cfg.net.faults.seed = 9;
+  StateSystem sys(cfg);
+  EXPECT_TRUE(sys.config().check_oracle);
+  wl::GeneratorConfig g;
+  g.n_sites = 8;
+  g.steps = 400;
+  g.seed = 9;
+  const wl::RunStats stats = wl::run_state(sys, wl::generate(g));
+  EXPECT_TRUE(stats.eventually_consistent);
+  EXPECT_GT(sys.totals().faults_injected, 0u);
+  EXPECT_GT(sys.totals().retries, 0u);
 }
 
 TEST(ReplFaults, RecordSyncUnderFaultsMergesOrRollsBack) {

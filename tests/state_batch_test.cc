@@ -121,7 +121,6 @@ TEST(StateBatch, FaultInjectionIsThreadInvariantAndConverges) {
   cfg.net.faults.drop = 0.05;
   cfg.net.faults.duplicate = 0.02;
   cfg.net.faults.seed = 11;
-  cfg.check_oracle = false;  // oracles cannot model partial joins (see Config)
   const wl::Trace trace = make_trace(10, 3);
 
   StateSystem seq(cfg);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -151,8 +152,8 @@ TEST(EventLoopSampler, ClearStopsSampling) {
 
 // ---- FlightRecorder --------------------------------------------------------
 
-obs::FlightRecord rec_at(double at, std::uint64_t value) {
-  obs::FlightRecord r;
+obs::TraceEvent rec_at(double at, std::uint64_t value) {
+  obs::TraceEvent r;
   r.at = at;
   r.value = value;
   return r;
@@ -179,9 +180,9 @@ TEST(FlightRecorder, FirstTriggerFreezesTheSnapshot) {
   EXPECT_EQ(r.trigger_count(), 2u);
   EXPECT_EQ(r.reason(), "decode_error");
   EXPECT_EQ(r.triggered_at(), 2.5);
-  ASSERT_EQ(r.dump_size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(r.dump_event(i).value, i);
-  EXPECT_EQ(r.dump_total_recorded(), 3u);
+  ASSERT_EQ(r.dump().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(r.dump().event(i).value, i);
+  EXPECT_EQ(r.dump().total_recorded(), 3u);
   // The live ring keeps rolling independently of the snapshot.
   EXPECT_EQ(r.size(), 4u);
   EXPECT_EQ(r.event(3).value, 7u);
@@ -189,7 +190,7 @@ TEST(FlightRecorder, FirstTriggerFreezesTheSnapshot) {
 
 TEST(FlightRecorder, DumpJsonShape) {
   obs::FlightRecorder r(4);
-  obs::FlightRecord e;
+  obs::TraceEvent e;
   e.at = 1.25;
   e.session = 3;
   e.type = obs::TraceEventType::kElemSent;
@@ -370,10 +371,10 @@ TEST(FlightRecorderIntegration, RetryExhaustionUnderHeavyLossTriggersAnnotatedDu
   // The system stamped its fault seed so the dump names the exact replay.
   EXPECT_EQ(rec.fault_seed(), 5u);
   EXPECT_GT(rec.trigger_seq(), 0u);
-  ASSERT_GT(rec.dump_size(), 0u);
+  ASSERT_GT(rec.dump().size(), 0u);
   bool any_fault = false;
-  for (std::size_t i = 0; i < rec.dump_size(); ++i) {
-    any_fault = any_fault || rec.dump_event(i).fault != obs::FlightFault::kNone;
+  for (std::size_t i = 0; i < rec.dump().size(); ++i) {
+    any_fault = any_fault || rec.dump().event(i).fault != obs::FlightFault::kNone;
   }
   EXPECT_TRUE(any_fault) << "the ring leading to retry exhaustion must show faults";
   obs::JsonValue doc;
@@ -409,9 +410,9 @@ TEST(FlightRecorderIntegration, CorruptionDecodeErrorTriggers) {
     // first anomaly.
     EXPECT_EQ(rec.reason(), "decode_error");
     bool saw_decode = false;
-    for (std::size_t i = 0; i < rec.dump_size(); ++i) {
+    for (std::size_t i = 0; i < rec.dump().size(); ++i) {
       saw_decode =
-          saw_decode || rec.dump_event(i).fault == obs::FlightFault::kDecodeError;
+          saw_decode || rec.dump().event(i).fault == obs::FlightFault::kDecodeError;
     }
     EXPECT_TRUE(saw_decode);
   }
@@ -473,8 +474,8 @@ TEST(FlightRecorder, ReTriggerAfterFreezeKeepsTheFirstAnomalyContext) {
   EXPECT_EQ(r.trigger_attempt(), 2u);
   EXPECT_EQ(r.trigger_seq(), 3u);
   EXPECT_EQ(r.fault_seed(), 77u);
-  ASSERT_EQ(r.dump_size(), 3u);
-  EXPECT_EQ(r.dump_event(2).value, 2u);
+  ASSERT_EQ(r.dump().size(), 3u);
+  EXPECT_EQ(r.dump().event(2).value, 2u);
   // clear() rearms the freeze for the next run.
   r.clear();
   EXPECT_FALSE(r.triggered());
@@ -509,8 +510,65 @@ TEST(FlightRecorderIntegration, FaultFreeSessionsRecordWithoutTriggering) {
   sys.sync(SiteId{1}, SiteId{0}, obj);
   EXPECT_GT(rec.total_recorded(), 0u);  // wire events landed in the ring
   EXPECT_FALSE(rec.triggered());        // bounds hold: nothing froze
-  for (std::size_t i = 0; i < rec.dump_size(); ++i) {
-    EXPECT_EQ(rec.dump_event(i).fault, obs::FlightFault::kNone);
+  for (std::size_t i = 0; i < rec.dump().size(); ++i) {
+    EXPECT_EQ(rec.dump().event(i).fault, obs::FlightFault::kNone);
+  }
+}
+
+// The tracer and the flight recorder take the same TraceEvent for every wire
+// message: with the recorder sized for the whole run, its fault-free records
+// are exactly the tracer's wire events, field by field and in order.
+TEST(FlightRecorderIntegration, WireRecordsMatchTracerEvents) {
+  obs::Tracer tracer;
+  obs::FlightRecorder rec(std::size_t{1} << 16);
+  auto cfg = state_cfg(4);
+  cfg.tracer = &tracer;
+  cfg.recorder = &rec;
+  cfg.net.latency_s = 0.001;
+  cfg.net.faults.drop = 0.05;
+  cfg.net.faults.duplicate = 0.02;
+  cfg.net.faults.seed = 3;
+  repl::StateSystem sys(cfg);
+  wl::GeneratorConfig g;
+  g.n_sites = 4;
+  g.steps = 200;
+  g.seed = 3;
+  wl::run_state(sys, wl::generate(g));
+  ASSERT_EQ(tracer.dropped(), 0u);
+  ASSERT_EQ(rec.dropped(), 0u);
+
+  std::vector<obs::TraceEvent> wire;
+  for (std::size_t i = 0; i < tracer.size(); ++i) {
+    const obs::TraceEvent& e = tracer.event(i);
+    switch (e.type) {
+      case obs::TraceEventType::kSessionBegin:
+      case obs::TraceEventType::kSessionEnd:
+      case obs::TraceEventType::kElemApplied:
+      case obs::TraceEventType::kElemRedundant:
+      case obs::TraceEventType::kElemStraggler:
+        break;  // session boundaries and receiver classifications
+      default:
+        wire.push_back(e);
+    }
+  }
+  std::vector<obs::TraceEvent> recorded;
+  for (std::size_t i = 0; i < rec.size(); ++i) {
+    if (rec.event(i).fault == obs::FlightFault::kNone) recorded.push_back(rec.event(i));
+  }
+  EXPECT_GT(rec.size(), recorded.size()) << "the lossy run must record faults too";
+  ASSERT_GT(wire.size(), 0u);
+  ASSERT_EQ(recorded.size(), wire.size());
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    const obs::TraceEvent& w = wire[i];
+    const obs::TraceEvent& r = recorded[i];
+    ASSERT_EQ(r.at, w.at) << "event " << i;
+    ASSERT_EQ(r.session, w.session) << "event " << i;
+    ASSERT_EQ(r.type, w.type) << "event " << i;
+    ASSERT_EQ(r.forward, w.forward) << "event " << i;
+    ASSERT_EQ(r.fault, w.fault) << "event " << i;
+    ASSERT_EQ(r.site, w.site) << "event " << i;
+    ASSERT_EQ(r.value, w.value) << "event " << i;
+    ASSERT_EQ(r.bits, w.bits) << "event " << i;
   }
 }
 

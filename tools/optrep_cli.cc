@@ -432,16 +432,16 @@ void write_file(const std::string& path, const std::string& content) {
   std::fclose(f);
 }
 
-// A full trace ring means the written document silently lacks the run's
-// earliest events — worth a loud stderr note next to the output path.
-void warn_trace_drops(const obs::Tracer& tracer, const std::string& path) {
-  if (tracer.dropped() == 0) return;
+// A full ring means the written document silently lacks the run's earliest
+// events — worth a loud stderr note next to the output path.
+template <class T>
+void warn_ring_drops(const char* what, const obs::Ring<T>& ring, const std::string& path) {
+  if (ring.dropped() == 0) return;
   std::fprintf(stderr,
-               "warning: trace ring dropped %llu of %llu events (capacity %zu); "
+               "warning: %s ring dropped %llu of %llu events (capacity %zu); "
                "%s holds only the most recent events\n",
-               (unsigned long long)tracer.dropped(),
-               (unsigned long long)tracer.total_recorded(), tracer.capacity(),
-               path.c_str());
+               what, (unsigned long long)ring.dropped(),
+               (unsigned long long)ring.total_recorded(), ring.capacity(), path.c_str());
 }
 
 // Write the flight-recorder dump only when an anomaly froze it; either way
@@ -458,7 +458,7 @@ void finish_flight_dump(const obs::FlightRecorder& rec, const std::string& path)
                "flight recorder triggered (%s, %llu trigger(s)): wrote last %zu "
                "protocol events to %s\n",
                rec.reason().c_str(), (unsigned long long)rec.trigger_count(),
-               rec.dump_size(), path.c_str());
+               rec.dump().size(), path.c_str());
 }
 
 wl::Trace make_trace(const Args& a) {
@@ -525,19 +525,12 @@ int run_state(const Args& a) {
   const auto& t = sys.totals();
   if (!a.trace_out.empty()) {
     write_file(a.trace_out, obs::trace_to_json(tracer));
-    warn_trace_drops(tracer, a.trace_out);
+    warn_ring_drops("trace", tracer, a.trace_out);
   }
   if (!a.timeline_out.empty()) write_file(a.timeline_out, obs::timeline_to_json(timeline));
   if (!a.causal_out.empty()) {
     write_file(a.causal_out, obs::causal_to_json(causal));
-    if (causal.dropped() > 0) {
-      std::fprintf(stderr,
-                   "warning: causal ring dropped %llu of %llu events (capacity %zu); "
-                   "%s holds only the most recent events\n",
-                   (unsigned long long)causal.dropped(),
-                   (unsigned long long)causal.total_recorded(), causal.capacity(),
-                   a.causal_out.c_str());
-    }
+    warn_ring_drops("causal", causal, a.causal_out);
   }
   finish_flight_dump(recorder, a.dump_out);
   if (a.json) {
@@ -691,7 +684,7 @@ int run_records(const Args& a) {
   const auto& t = sys.totals();
   if (!a.trace_out.empty()) {
     write_file(a.trace_out, obs::trace_to_json(tracer));
-    warn_trace_drops(tracer, a.trace_out);
+    warn_ring_drops("trace", tracer, a.trace_out);
   }
   if (a.json) {
     wl::RecordsRunTags tags;
