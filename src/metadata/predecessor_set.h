@@ -27,7 +27,6 @@ class PredecessorSet {
 
   bool contains(UpdateId id) const { return ops_.contains(id); }
   std::size_t size() const { return ops_.size(); }
-  const std::unordered_set<UpdateId>& ids() const { return ops_; }
   bool operator==(const PredecessorSet&) const = default;
 
   vv::Ordering compare(const PredecessorSet& other) const;

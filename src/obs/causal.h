@@ -195,20 +195,22 @@ class CausalTracer : public Ring<CausalEvent> {
   }
 
   // Fold a per-session scratch tracer (repl::StateSystem::run_batch computes
-  // sessions in parallel, each tracing into its own small ring) into this
-  // tracer: scratch span ids are sequential from 1, so rebase every span and
-  // parent reference by this tracer's spans_opened() and advance the span
-  // counter past the absorbed ids. Callers absorb scratches in spec order, so
-  // the merged stream — ids and all — is byte-identical for any thread count.
-  // A scratch ring must be sized for its whole session: absorbing a ring that
-  // wrapped would silently drop the session's oldest events, so that is an
-  // error, not a truncation.
-  void absorb(const CausalTracer& scratch) {
+  // sessions in parallel, each tracing into its own small ring on a private
+  // clock that starts at 0) into this tracer: scratch span ids are sequential
+  // from 1, so rebase every span and parent reference by this tracer's
+  // spans_opened() and advance the span counter past the absorbed ids; and
+  // shift every timestamp by `start`, the session's start on this tracer's
+  // clock. Callers absorb scratches in spec order, so the merged stream — ids
+  // and all — is byte-identical for any thread count. A scratch ring must be
+  // sized for its whole session: absorbing a ring that wrapped would silently
+  // drop the session's oldest events, so that is an error, not a truncation.
+  void absorb(const CausalTracer& scratch, double start) {
     OPTREP_CHECK_MSG(scratch.dropped() == 0,
                      "absorb: scratch causal ring wrapped; size it for the session");
     const std::uint64_t offset = last_span_;
     for (std::size_t i = 0; i < scratch.size(); ++i) {
       CausalEvent e = scratch.event(i);
+      e.at += start;
       if (e.span != 0) e.span += offset;
       if (e.parent != 0) e.parent += offset;
       record(e);

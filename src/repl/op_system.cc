@@ -111,12 +111,10 @@ OpSyncOutcome OpSystem::sync(SiteId dst, SiteId src, ObjectId obj) {
     out.action = OpSyncOutcome::Action::kReconciled;
   }
 
-  if (cfg_.check_invariants) {
-    OPTREP_CHECK_MSG(receiver.graph.validate_closed(),
-                     "graph not closed after synchronization");
-    for (const graph::Node& n : sender.graph.all_nodes()) {
-      OPTREP_CHECK_MSG(receiver.graph.contains(n.id), "union is missing sender nodes");
-    }
+  OPTREP_CHECK_MSG(receiver.graph.validate_closed(),
+                   "graph not closed after synchronization");
+  for (const graph::Node& n : sender.graph.all_nodes()) {
+    OPTREP_CHECK_MSG(receiver.graph.contains(n.id), "union is missing sender nodes");
   }
 
   totals_.sessions += 1;
@@ -149,15 +147,9 @@ void OpSystem::publish_metrics() {
 }
 
 std::uint64_t OpSystem::divergence() const {
-  // Per-object union of operation ids across all replicas.
-  std::unordered_map<ObjectId, std::unordered_set<UpdateId>> known;
-  replicas_.for_each([&](SiteId, ObjectId obj, const OpReplica& r) {
-    auto& k = known[obj];
-    for (const graph::Node& n : r.graph.all_nodes()) k.insert(n.id);
-  });
   std::uint64_t d = 0;
   replicas_.for_each([&](SiteId, ObjectId obj, const OpReplica& r) {
-    d += known.at(obj).size() - r.graph.node_count();
+    d += contents_.at(obj).size() - r.graph.node_count();
   });
   return d;
 }

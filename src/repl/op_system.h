@@ -51,7 +51,6 @@ class OpSystem {
     sim::NetConfig net{};
     CostModel cost{};
     bool use_incremental{true};  // false: full-graph-transfer baseline
-    bool check_invariants{true};
     // Hybrid transfer (§6): number of recent operations whose payloads each
     // site retains; 0 keeps everything (pure operation transfer). When a
     // peer needs an evicted payload, the session falls back to shipping the
@@ -100,7 +99,10 @@ class OpSystem {
   // Residual divergence: over every replica, the number of operations in the
   // per-object union of all replicas' causal graphs that this replica has not
   // absorbed yet. Zero iff every replica holds the full operation history.
-  // Published as the `repl.divergence` gauge after every session.
+  // That union is exactly the object's operation registry (every operation
+  // is registered where it is created, and graphs never lose nodes), so this
+  // is a subtraction per replica: O(replicas), no allocation. Published as the
+  // `repl.divergence` gauge after every session.
   std::uint64_t divergence() const;
 
   struct Totals {

@@ -79,8 +79,8 @@ SyncOutcome StateSystem::sync_pair(StateReplica& receiver, StateReplica& sender,
   const bool concurrent = step.relation == vv::Ordering::kConcurrent;
 
   if (cfg_.check_oracle) {
-    // Ground truth: causal relation by history containment.
-    OPTREP_CHECK_MSG(step.relation == receiver.oracle_history.compare(sender.oracle_history),
+    // Ground truth: causal relation by oracle-vector dominance.
+    OPTREP_CHECK_MSG(step.relation == receiver.oracle_vector.compare(sender.oracle_vector),
                      "COMPARE disagrees with ground-truth causality");
   }
 
@@ -102,14 +102,16 @@ SyncOutcome StateSystem::sync_pair(StateReplica& receiver, StateReplica& sender,
     // then the mandated local update on the receiving site ([11 §C], §2.2).
     for (const auto& e : sender.data.entries) out.payload_bytes += e.size();
     if (c.causal != nullptr) {
-      // The update ids the receiver is about to learn, in (site, seq) order.
-      for (const UpdateId& u : sender.oracle_history.ids()) {
-        if (!receiver.oracle_history.contains(u)) fx.fresh.push_back(u);
+      // The update ids the receiver is about to learn — per site, the range
+      // (receiver[i], sender[i]] — in (site, seq) order.
+      for (const auto& [site, top] : sender.oracle_vector.elements()) {
+        for (std::uint64_t s = receiver.oracle_vector.value(site) + 1; s <= top; ++s) {
+          fx.fresh.push_back({site, s});
+        }
       }
       std::sort(fx.fresh.begin(), fx.fresh.end());
     }
     receiver.oracle_vector.join(sender.oracle_vector);
-    receiver.oracle_history.join(sender.oracle_history);
     if (!concurrent) {
       receiver.data = sender.data;  // state transfer overwrites the replica
       out.action = SyncOutcome::Action::kPulled;
@@ -121,7 +123,6 @@ SyncOutcome StateSystem::sync_pair(StateReplica& receiver, StateReplica& sender,
       receiver.vector.record_update(c.dst);
       receiver.oracle_vector.increment(c.dst);
       fx.origin = UpdateId{c.dst, receiver.oracle_vector.value(c.dst)};
-      receiver.oracle_history.record_update(*fx.origin);
       out.action = SyncOutcome::Action::kReconciled;
     }
   }
@@ -165,16 +166,16 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
            std::uint64_t{o.value};
   };
 
-  // Shadow convergence state for causal tracing: host set and causal history
+  // Shadow convergence state for causal tracing: host set and oracle vector
   // per replica, advanced at each event's spec-order COMMIT — exactly when a
   // sequential execution would advance the real state — so kConverge fires at
   // the same events it would sequentially. Snapshotted before prepare creates
   // the batch's receiver replicas (a replica becomes a host only when its
   // creating event commits).
-  ReplicaMap<meta::PredecessorSet> shadow;
+  ReplicaMap<vv::VersionVector> shadow;
   if (cfg_.causal != nullptr) {
     replicas_.for_each([&](SiteId site, ObjectId o, const StateReplica& r) {
-      shadow.get_or_create(site, o) = r.oracle_history;
+      shadow.get_or_create(site, o) = r.oracle_vector;
     });
   }
 
@@ -293,6 +294,10 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
     res.end_time = loop.now();
   };
 
+  // Spec-order batch clock: every session ran on a fresh loop from t = 0, so
+  // it starts where the previous event in spec order ended, as it would on
+  // the shared loop, and its local times are shifted by that start.
+  sim::Time clock = loop_.now();
   std::size_t wave_start = 0;
   for (const rt::WavePlan::Wave& wave : plan.waves) {
     pool.for_each_index(plan.n_shards, [&](std::size_t shard) {
@@ -302,28 +307,33 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
     });
     // Commit in spec order (waves cover contiguous index ranges): session
     // accounting, then causal emission against the shared tracer — scratch
-    // ring first (span ids rebased by absorb), then the deliver/origin and
-    // convergence events the sequential path would emit inline.
+    // ring first (span ids rebased and times shifted by absorb), then the
+    // deliver/origin and convergence events the sequential path would emit
+    // inline.
     for (std::size_t i = wave_start; i < wave_start + wave.items; ++i) {
       const BatchEvent& ev = events[i];
       Slot& res = slots[i];
       if (ev.type == BatchEvent::Type::kSync) finish_session(res.out);
+      const sim::Time start = clock;
+      clock += res.end_time;
       if (cfg_.causal == nullptr) continue;
-      meta::PredecessorSet& hist = shadow.get_or_create(ev.site, ev.obj);
+      vv::VersionVector& known = shadow.get_or_create(ev.site, ev.obj);
       std::uint64_t span = 0;
       if (res.scratch != nullptr) {
         const std::uint64_t offset = cfg_.causal->spans_opened();
-        cfg_.causal->absorb(*res.scratch);
+        cfg_.causal->absorb(*res.scratch, start);
         span = res.out.report.causal_span == 0
                    ? 0
                    : res.out.report.causal_span + offset;
       }
-      for (const UpdateId& u : res.fx.fresh) hist.record_update(u);
-      if (res.fx.origin) hist.record_update(*res.fx.origin);
-      emit_effects(res.end_time, ev.obj, res.fx, ev.peer, ev.site, span, &shadow);
+      // fresh ascends per site past the receiver's value; the origin tops it.
+      for (const UpdateId& u : res.fx.fresh) known.set(u.site, u.seq);
+      if (res.fx.origin) known.set(res.fx.origin->site, res.fx.origin->seq);
+      emit_effects(clock, ev.obj, res.fx, ev.peer, ev.site, span, &shadow);
     }
     wave_start += wave.items;
   }
+  loop_.advance_to(clock);
 
   for (const obs::Registry& reg : shard_metrics) metrics_.merge_from(reg);
   const rt::OLock::Counters olock_after = sum_olock();
@@ -420,14 +430,13 @@ UpdateId StateSystem::apply_update(StateReplica& r, SiteId site, std::string ent
   // The replica's own per-site counter equals the global per-site sequence
   // because a site's updates are serial on its single replica of the object.
   const UpdateId u{site, r.oracle_vector.value(site)};
-  r.oracle_history.record_update(u);
   if (cfg_.check_oracle) check_replica(r);
   return u;
 }
 
 void StateSystem::emit_effects(double at, ObjectId obj, const SessionEffects& fx,
                                SiteId src, SiteId dst, std::uint64_t span,
-                               const ReplicaMap<meta::PredecessorSet>* shadow) {
+                               const ReplicaMap<vv::VersionVector>* shadow) {
   if (cfg_.causal == nullptr) return;
   // Coverage of u only changes when some replica absorbs u itself, so
   // checking at every origin/deliver of u closes each trace exactly when the
@@ -435,11 +444,10 @@ void StateSystem::emit_effects(double at, ObjectId obj, const SessionEffects& fx
   // by a later sync) re-opens the trace until the newcomer catches up; the
   // analyzer keys on the *last* kConverge of a trace.
   const auto converge_if_covered = [&](const UpdateId& u) {
-    const bool covered =
-        shadow != nullptr
-            ? shadow->all_cover(obj, [&](const meta::PredecessorSet& h) { return h.contains(u); })
-            : replicas_.all_cover(
-                  obj, [&](const StateReplica& r) { return r.oracle_history.contains(u); });
+    const auto has = [&u](const vv::VersionVector& v) { return v.value(u.site) >= u.seq; };
+    const auto replica_has = [&](const StateReplica& r) { return has(r.oracle_vector); };
+    const bool covered = shadow != nullptr ? shadow->all_cover(obj, has)
+                                           : replicas_.all_cover(obj, replica_has);
     if (covered) cfg_.causal->converge(at, obj, u.site, u.seq);
   };
   for (const UpdateId& u : fx.fresh) {

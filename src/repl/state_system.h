@@ -4,11 +4,11 @@
 // over the simulated network.
 //
 // The harness continuously cross-checks the rotating-vector implementation
-// against two oracles:
-//   - a traditional VersionVector carried next to every replica (values must
-//     match after every operation), and
-//   - the ground-truth causal history (the predecessor set of update ids a
-//     replica has absorbed), against which conflict detection is validated.
+// against one oracle: a traditional VersionVector carried next to every
+// replica. Its values must match after every operation, and its compare()
+// validates conflict detection — by Observation 2.1 (§2.2) it is the compact
+// form of the replica's causal history: the replica knows update (i, u) iff
+// oracle_vector[i] >= u.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 
 #include "common/cost_model.h"
 #include "common/ids.h"
-#include "metadata/predecessor_set.h"
 #include "obs/causal.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -34,6 +33,7 @@
 #include "vv/compare.h"
 #include "vv/rotating_vector.h"
 #include "vv/session.h"
+#include "vv/version_vector.h"
 
 namespace optrep::repl {
 
@@ -56,9 +56,8 @@ struct StateReplica {
   Payload data;
   bool conflicted{false};  // manual policy: excluded until resolved
 
-  // Oracles (not part of the protocol state).
+  // Oracle (not part of the protocol state).
   vv::VersionVector oracle_vector;
-  meta::PredecessorSet oracle_history;
 };
 
 // What a synchronization session did.
@@ -88,9 +87,10 @@ class StateSystem {
     vv::TransferMode mode{vv::TransferMode::kIdeal};
     sim::NetConfig net{};
     CostModel cost{};
-    // Cross-check against the traditional-vector and causal-history oracles.
+    // Cross-check against the traditional-vector oracle: its values after
+    // every operation, and its compare() against every session's COMPARE.
     // Holds under fault injection too: vv::sync_with_recovery leaves a failed
-    // sync's receiver exactly as it was, so the oracles only ever see complete
+    // sync's receiver exactly as it was, so the oracle only ever sees complete
     // at-rest merges.
     bool check_oracle{true};
     // Optional structured tracing: every session's protocol events land
@@ -116,8 +116,8 @@ class StateSystem {
     // receiver learned (kDeliver, attributed to the session's root span), and
     // the system closes a trace (kConverge) the moment every current host of
     // the object covers the update. The delivery identities come from the
-    // causal-history oracle, which is maintained on every converged path,
-    // fault injection included.
+    // oracle vectors: a merge delivers, per site i, the range
+    // (receiver[i], sender[i]]; a failed sync merges and delivers nothing.
     obs::CausalTracer* causal{nullptr};
   };
 
@@ -153,9 +153,12 @@ class StateSystem {
   // which would break wave read-sharing), and no tracer / flight recorder /
   // timeline (all three are sequential per-session-order instruments; causal
   // tracing IS supported via per-session scratch rings absorbed in spec
-  // order). Fault injection is supported and deterministic: each session's
-  // fault stream derives from the configured seed salted with the event's
-  // spec index, so faulty batches are byte-identical for any thread count.
+  // order). Each session runs on a private clock from 0; the batch lays them
+  // end to end in spec order from now(), which it then advances to the end,
+  // so causal timestamps never run backward. Fault injection is supported
+  // and deterministic: each session's fault stream derives from the
+  // configured seed salted with the event's spec index, so faulty batches
+  // are byte-identical for any thread count.
   // The stream differs from the sequential engine's, though — sequential
   // sessions decorrelate via the shared loop's cumulative event count, a
   // quantity only defined under in-order execution — so under ACTIVE faults
@@ -277,10 +280,10 @@ class StateSystem {
   // session at time `at`: a kDeliver per learned update carried by `span`
   // from src to dst, then the origin; each trace closes (kConverge) once
   // every host of obj holds the update — judged against run_batch's
-  // spec-order `shadow` histories when given, else the live replicas.
+  // spec-order `shadow` vectors when given, else the live replicas.
   void emit_effects(double at, ObjectId obj, const SessionEffects& fx, SiteId src = {},
                     SiteId dst = {}, std::uint64_t span = 0,
-                    const ReplicaMap<meta::PredecessorSet>* shadow = nullptr);
+                    const ReplicaMap<vv::VersionVector>* shadow = nullptr);
   void check_replica(const StateReplica& r) const;
   void publish_metrics();
   void sample_timeline_at(double x);

@@ -842,48 +842,29 @@ CompareSessionResult compare_session(sim::EventLoop& loop, const RotatingVector&
   OPTREP_SPAN("vv.compare");
   // COMPARE rides the framed transport too: probes and verdicts are control
   // messages (every frame flushes), so framing only affects byte accounting.
-  sim::FrameDuplex<VvMsg> duplex(&loop, net);
-  duplex.a_to_b().set_msg_sizer(&frame_wire_bytes_single);
-  duplex.b_to_a().set_msg_sizer(&frame_wire_bytes_single);
-  duplex.a_to_b().set_frame_sizer(&frame_wire_bytes);
-  duplex.b_to_a().set_frame_sizer(&frame_wire_bytes);
-  const auto flush = [](const VvMsg& m) { return m.kind != VvMsg::Kind::kElem; };
-  duplex.a_to_b().set_flush_after(flush);
-  duplex.b_to_a().set_flush_after(flush);
-  protocol::CompareCore ca(&a);
-  protocol::CompareCore cb(&b);
-  // COMPARE's binding is trivial (two counted sends per endpoint, no
-  // speculation): a local pump suffices instead of a full CoreDriver.
-  const auto drive = [&cost](protocol::CompareCore& core, sim::FrameLink<VvMsg>* tx,
-                             const protocol::Event& ev) {
-    protocol::Actions& acts = scratch_actions();
-    acts.clear();
-    core.step(ev, acts);
-    for (const protocol::Action& act : acts) {
-      if (act.type != protocol::Action::Type::kSend) continue;
-      if (act.msg.kind == VvMsg::Kind::kProbe) {
-        tx->send(act.msg, cost.compare_probe_bits(), wire_bytes_elem(false));
-      } else {
-        tx->send(act.msg, 1, 1);
-      }
-    }
-  };
-  duplex.a_to_b().set_receiver([&](const VvMsg& m) {
-    drive(cb, &duplex.b_to_a(), protocol::Event::msg_arrival(m));
-  });
-  duplex.b_to_a().set_receiver([&](const VvMsg& m) {
-    drive(ca, &duplex.a_to_b(), protocol::Event::msg_arrival(m));
-  });
+  // No fault injection: a lost probe or verdict would leave no verdict.
+  SyncOptions opt;
+  opt.net = net;
+  opt.net.faults = {};
+  opt.cost = cost;
+  SessionWiring w(loop, opt, {});
+  CoreDriver<protocol::CompareCore> da(&w, &w.duplex.a_to_b(), opt.kind,
+                                       protocol::CompareCore(&a));
+  CoreDriver<protocol::CompareCore> db(&w, &w.duplex.b_to_a(), opt.kind,
+                                       protocol::CompareCore(&b));
+  w.connect([&da](const VvMsg& m) { da.on_message(m); },
+            [&db](const VvMsg& m) { db.on_message(m); }, opt.kind);
   const sim::Time t0 = loop.now();
-  loop.schedule(t0, [&] {
-    drive(ca, &duplex.a_to_b(), protocol::Event::start());
-    drive(cb, &duplex.b_to_a(), protocol::Event::start());
+  loop.schedule(t0, [&da, &db] {
+    da.start();
+    db.start();
   });
   const sim::Time t_end = loop.run();
   CompareSessionResult r;
-  r.at_a = ca.decide();
-  r.at_b = cb.decide();
-  r.total_bits = duplex.a_to_b().stats().model_bits + duplex.b_to_a().stats().model_bits;
+  r.at_a = da.core().decide();
+  r.at_b = db.core().decide();
+  r.total_bits =
+      w.duplex.a_to_b().stats().model_bits + w.duplex.b_to_a().stats().model_bits;
   r.duration = t_end - t0;
   return r;
 }

@@ -2,7 +2,9 @@
 # with optrep_cli and require optrep_trace --check (the brute-force oracle:
 # forward knowledge replay, converge soundness/completeness, critical-path
 # recomputation) to agree on every one — including a lossy world exercising
-# retry spans and fault edges, and a multi-run sweep document.
+# retry spans and fault edges, a multi-run sweep document, and two worlds on
+# the parallel batch engine (--threads) whose sessions take simulated time,
+# from link latency and from retry backoff.
 #
 # Invoked from ctest:  cmake -DCLI=<optrep_cli> -DTRACE=<optrep_trace>
 #                            -DOUT=<scratch dir> -P causal_oracle.cmake
@@ -19,6 +21,8 @@ set(cases
   "four_site|state --kind=srv --sites=4 --steps=400 --seed=7 --latency-ms=2"
   "three_site_lossy|state --kind=srv --sites=3 --steps=200 --seed=11 --loss=0.1 --dup=0.05 --fault-seed=9"
   "sweep|sweep --kind=srv --sites=4 --steps=150 --seeds=4 --threads=2 --seed=13"
+  "four_site_batch|state --kind=srv --sites=4 --steps=400 --seed=7 --latency-ms=2 --threads=2"
+  "three_site_crv_lossy_batch|state --kind=crv --sites=3 --steps=250 --seed=5 --objects=2 --loss=0.1 --dup=0.05 --fault-seed=9 --threads=2"
 )
 
 foreach(case IN LISTS cases)

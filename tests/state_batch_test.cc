@@ -85,7 +85,7 @@ void expect_same_state(const StateSystem& a, const StateSystem& b,
           << "site " << site.value << " object " << o << ": "
           << ra.vector.to_string() << " vs " << rb.vector.to_string();
       EXPECT_EQ(ra.conflicted, rb.conflicted);
-      EXPECT_EQ(ra.oracle_history, rb.oracle_history);
+      EXPECT_EQ(ra.oracle_vector, rb.oracle_vector);
     }
   }
 }

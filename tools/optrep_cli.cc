@@ -493,8 +493,8 @@ int run_state(const Args& a) {
   cfg.mode = a.mode;
   cfg.net = make_net(a);
   cfg.cost = CostModel{.n = a.sites, .m = 1 << 16};
-  obs::Tracer tracer;
-  if (!a.trace_out.empty()) cfg.tracer = &tracer;
+  std::optional<obs::Tracer> tracer;
+  if (!a.trace_out.empty()) cfg.tracer = &tracer.emplace();
   obs::Timeline timeline;
   if (!a.timeline_out.empty()) {
     cfg.timeline = &timeline;
@@ -504,8 +504,8 @@ int run_state(const Args& a) {
   if (!a.dump_out.empty()) cfg.recorder = &recorder;
   // Trace ids derive from the workload seed, so two runs of the same
   // configuration write byte-identical causal dumps.
-  obs::CausalTracer causal(a.seed);
-  if (!a.causal_out.empty()) cfg.causal = &causal;
+  std::optional<obs::CausalTracer> causal;
+  if (!a.causal_out.empty()) cfg.causal = &causal.emplace(a.seed);
   repl::StateSystem sys(cfg);
   ProfileScope profile(a.profile_out, &sys.metrics());
   const wl::Trace trace = make_trace(a);
@@ -523,14 +523,14 @@ int run_state(const Args& a) {
   }
   sys.sample_timeline();  // flush a final sample at the end of the run
   const auto& t = sys.totals();
-  if (!a.trace_out.empty()) {
-    write_file(a.trace_out, obs::trace_to_json(tracer));
-    warn_ring_drops("trace", tracer, a.trace_out);
+  if (tracer) {
+    write_file(a.trace_out, obs::trace_to_json(*tracer));
+    warn_ring_drops("trace", *tracer, a.trace_out);
   }
   if (!a.timeline_out.empty()) write_file(a.timeline_out, obs::timeline_to_json(timeline));
-  if (!a.causal_out.empty()) {
-    write_file(a.causal_out, obs::causal_to_json(causal));
-    warn_ring_drops("causal", causal, a.causal_out);
+  if (causal) {
+    write_file(a.causal_out, obs::causal_to_json(*causal));
+    warn_ring_drops("causal", *causal, a.causal_out);
   }
   finish_flight_dump(recorder, a.dump_out);
   if (a.json) {
@@ -658,8 +658,8 @@ int run_records(const Args& a) {
   cfg.mode = a.mode;
   cfg.net = make_net(a);
   cfg.cost = CostModel{.n = a.sites, .m = 1 << 16};
-  obs::Tracer tracer;
-  if (!a.trace_out.empty()) cfg.tracer = &tracer;
+  std::optional<obs::Tracer> tracer;
+  if (!a.trace_out.empty()) cfg.tracer = &tracer.emplace();
   repl::RecordSystem sys(cfg);
   ProfileScope profile(a.profile_out, &sys.metrics());
   const ObjectId db{0};
@@ -682,9 +682,9 @@ int run_records(const Args& a) {
     }
   }
   const auto& t = sys.totals();
-  if (!a.trace_out.empty()) {
-    write_file(a.trace_out, obs::trace_to_json(tracer));
-    warn_ring_drops("trace", tracer, a.trace_out);
+  if (tracer) {
+    write_file(a.trace_out, obs::trace_to_json(*tracer));
+    warn_ring_drops("trace", *tracer, a.trace_out);
   }
   if (a.json) {
     wl::RecordsRunTags tags;
@@ -870,8 +870,8 @@ int run_sweep(const Args& a) {
         // only on (seed, k), never on worker identity or scheduling. The
         // worker serializes its own fragment; the document is assembled in
         // config order after the join.
-        obs::CausalTracer ct(rt::task_seed(a.seed, k));
-        if (!a.causal_out.empty()) cfg.causal = &ct;
+        std::optional<obs::CausalTracer> ct;
+        if (!a.causal_out.empty()) cfg.causal = &ct.emplace(rt::task_seed(a.seed, k));
         repl::StateSystem sys(cfg);
         const wl::RunStats stats = wl::run_state(sys, make_trace(run));
         shard.registry.merge_from(sys.metrics());
@@ -888,7 +888,7 @@ int run_sweep(const Args& a) {
                 {},
                 {}};
         if (rec.triggered()) row.dump = obs::flight_to_json(rec);
-        if (!a.causal_out.empty()) row.causal = obs::causal_run_fragment(ct, k);
+        if (ct) row.causal = obs::causal_run_fragment(*ct, k);
         // Live mid-sweep progress: single writer per shard, so read-add-
         // publish is race-free; readers get a consistent snapshot any time.
         const auto prev = shard.progress.read();
