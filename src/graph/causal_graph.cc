@@ -33,11 +33,16 @@ void CausalGraph::set_sink(UpdateId id) {
 }
 
 void CausalGraph::insert_raw(const Node& n) {
-  auto [it, inserted] = nodes_.emplace(n.id, n);
-  if (!inserted) {
-    OPTREP_CHECK_MSG(it->second == n, "conflicting node contents for one id");
+  const std::uint32_t p =
+      index_.find_or_insert(n.id, [this](std::uint32_t q) { return nodes_[q].id; });
+  if (p != IdIndex::kNil) {
+    OPTREP_CHECK_MSG(nodes_[p] == n, "conflicting node contents for one id");
     return;
   }
+  if (nodes_.size() == nodes_.capacity()) {
+    nodes_.reserve(nodes_.size() + nodes_.size() / 2 + 1);
+  }
+  nodes_.push_back(n);
   arcs_ += (n.lp != kNoParent) + (n.rp != kNoParent);
   op_bytes_ += n.op_bytes;
   if (n.lp == kNoParent && n.rp == kNoParent && source_ == kNoParent) source_ = n.id;
@@ -56,18 +61,22 @@ vv::Ordering CausalGraph::compare(const CausalGraph& other) const {
 }
 
 bool CausalGraph::is_ancestor(UpdateId ancestor, UpdateId descendant) const {
-  if (!contains(ancestor) || !contains(descendant)) return false;
-  std::vector<UpdateId> stack{descendant};
-  std::unordered_map<UpdateId, bool> seen;
+  const std::uint32_t target = slot_of(ancestor);
+  const std::uint32_t from = slot_of(descendant);
+  if (target == IdIndex::kNil || from == IdIndex::kNil) return false;
+  std::vector<std::uint8_t> seen(nodes_.size(), 0);  // by position in nodes_
+  std::vector<std::uint32_t> stack{from};
   while (!stack.empty()) {
-    const UpdateId cur = stack.back();
+    const std::uint32_t cur = stack.back();
     stack.pop_back();
-    if (cur == ancestor) return true;
-    auto [it, inserted] = seen.emplace(cur, true);
-    if (!inserted) continue;
-    if (const Node* n = find(cur)) {
-      if (n->lp != kNoParent) stack.push_back(n->lp);
-      if (n->rp != kNoParent) stack.push_back(n->rp);
+    if (cur == target) return true;
+    if (seen[cur] != 0) continue;
+    seen[cur] = 1;
+    const Node& n = nodes_[cur];
+    for (const UpdateId parent : {n.lp, n.rp}) {
+      if (parent == kNoParent) continue;
+      const std::uint32_t q = slot_of(parent);
+      if (q != IdIndex::kNil) stack.push_back(q);  // absent mid-sync: skip
     }
   }
   return false;
@@ -76,37 +85,40 @@ bool CausalGraph::is_ancestor(UpdateId ancestor, UpdateId descendant) const {
 bool CausalGraph::validate_closed() const {
   if (nodes_.empty()) return true;
   std::size_t roots = 0;
-  for (const auto& [id, n] : nodes_) {
-    if (n.lp == kNoParent && n.rp == kNoParent) {
-      ++roots;
-    }
-    if (n.lp != kNoParent && !contains(n.lp)) return false;
-    if (n.rp != kNoParent && !contains(n.rp)) return false;
-  }
+  for (const Node& n : nodes_) roots += n.lp == kNoParent && n.rp == kNoParent;
   if (roots != 1) return false;
-  if (!contains(sink_)) return false;
+  const std::uint32_t sink = slot_of(sink_);
+  if (sink == IdIndex::kNil) return false;
   // The sink must dominate the graph: every node is an ancestor of the sink.
+  // A node the walk does not reach fails that count, so checking the parents
+  // of reached nodes checks every parent.
   std::size_t reached = 0;
-  std::vector<UpdateId> stack{sink_};
-  std::unordered_map<UpdateId, bool> seen;
+  std::vector<std::uint8_t> seen(nodes_.size(), 0);  // by position in nodes_
+  std::vector<std::uint32_t> stack{sink};
   while (!stack.empty()) {
-    const UpdateId cur = stack.back();
+    const std::uint32_t cur = stack.back();
     stack.pop_back();
-    auto [it, inserted] = seen.emplace(cur, true);
-    if (!inserted) continue;
+    if (seen[cur] != 0) continue;
+    seen[cur] = 1;
     ++reached;
-    const Node* n = find(cur);
-    if (n->lp != kNoParent) stack.push_back(n->lp);
-    if (n->rp != kNoParent) stack.push_back(n->rp);
+    const Node& n = nodes_[cur];
+    for (const UpdateId parent : {n.lp, n.rp}) {
+      if (parent == kNoParent) continue;
+      const std::uint32_t q = slot_of(parent);
+      if (q == IdIndex::kNil) return false;  // dangling parent
+      stack.push_back(q);
+    }
   }
   return reached == nodes_.size();
 }
 
-std::vector<Node> CausalGraph::all_nodes() const {
-  std::vector<Node> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, n] : nodes_) out.push_back(n);
-  return out;
+bool CausalGraph::operator==(const CausalGraph& other) const {
+  if (node_count() != other.node_count()) return false;
+  for (const Node& n : nodes_) {
+    const Node* theirs = other.find(n.id);
+    if (theirs == nullptr || !(*theirs == n)) return false;
+  }
+  return true;
 }
 
 }  // namespace optrep::graph

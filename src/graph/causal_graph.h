@@ -5,21 +5,29 @@
 // state, double-parent = a reconciliation merging two concurrent states).
 // Each replica's graph is closed under ancestry and has one source (the
 // object's creation) and one sink (the latest operation executed on the
-// replica, §6). Node lookup is O(1) via hash table, which makes comparison
-// O(1) (§6: sink-containment tests).
+// replica, §6). Node lookup is O(1), which makes comparison O(1) (§6:
+// sink-containment tests).
 //
 // Nodes are identified by UpdateId (origin site, per-site sequence number),
 // which is globally unique and stable across replicas.
+//
+// Storage: the nodes live in one dense std::vector in insertion order, grown
+// 1.5× at a time, and a flat open-addressed IdIndex (graph/id_index.h) maps
+// each UpdateId to its position. A lookup is a hash and a short scan of
+// 4-byte cells; an insert allocates only when the vector or the index grows,
+// so inserting N nodes costs O(log N) allocations, and a one-node graph owns
+// one node and one small index. A pointer returned by find() is into that
+// vector: it dies on the next insert (create, append, merge, insert_raw).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
 #include "common/ids.h"
+#include "graph/id_index.h"
 #include "vv/order.h"
 
 namespace optrep::graph {
@@ -43,10 +51,11 @@ class CausalGraph {
  public:
   CausalGraph() = default;
 
-  bool contains(UpdateId id) const { return nodes_.contains(id); }
+  bool contains(UpdateId id) const { return slot_of(id) != IdIndex::kNil; }
+  // The node with this id, or nullptr. Valid until the next insert.
   const Node* find(UpdateId id) const {
-    auto it = nodes_.find(id);
-    return it == nodes_.end() ? nullptr : &it->second;
+    const std::uint32_t p = slot_of(id);
+    return p == IdIndex::kNil ? nullptr : &nodes_[p];
   }
 
   std::size_t node_count() const { return nodes_.size(); }
@@ -94,18 +103,24 @@ class CausalGraph {
   // parentless node (the source), and the sink dominates the whole graph.
   bool validate_closed() const;
 
-  // Nodes in unspecified order.
-  std::vector<Node> all_nodes() const;
+  // Nodes in insertion order. Iterators into it die on the next insert, like
+  // find()'s pointer.
+  const std::vector<Node>& all_nodes() const { return nodes_; }
 
   // Total payload bytes across nodes.
   std::uint64_t total_op_bytes() const { return op_bytes_; }
 
-  bool operator==(const CausalGraph& other) const {
-    return nodes_ == other.nodes_;  // same node/arc sets (sinks may differ mid-sync)
-  }
+  // Same node/arc sets, whatever the insertion order (sinks may differ
+  // mid-sync).
+  bool operator==(const CausalGraph& other) const;
 
  private:
-  std::unordered_map<UpdateId, Node> nodes_;
+  std::uint32_t slot_of(UpdateId id) const {
+    return index_.find(id, [this](std::uint32_t p) { return nodes_[p].id; });
+  }
+
+  std::vector<Node> nodes_;  // insertion order
+  IdIndex index_;            // id → position in nodes_
   std::size_t arcs_{0};
   std::uint64_t op_bytes_{0};
   UpdateId source_{kNoParent};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "graph/id_index.h"
 #include "vv/frame_codec.h"
 
 namespace optrep::graph {
@@ -184,8 +185,7 @@ class GraphSender : public GraphPeer {
     while (!stack_.empty()) {
       const UpdateId i = stack_.back();
       stack_.pop_back();
-      if (visited_.contains(i)) continue;
-      visited_.emplace(i, true);
+      if (!visited_.insert(i)) continue;
       const Node* n = b_->find(i);
       OPTREP_CHECK(n != nullptr);
       // Alg 5 lines 7–9: send (i, LP, RP); push RP then LP so LP pops first.
@@ -224,7 +224,7 @@ class GraphSender : public GraphPeer {
 
   const CausalGraph* b_;
   std::vector<UpdateId> stack_;
-  std::unordered_map<UpdateId, bool> visited_;
+  IdSet visited_;  // sized by the nodes visited, not by |V_b|
   std::uint64_t nodes_sent_{0};
   bool done_{false};
   sim::EventLoop::EventId pending_{0};

@@ -22,7 +22,30 @@ Ordering compare_fast(const RotatingVector& a, const RotatingVector& b) {
 }
 
 Ordering compare_full(const RotatingVector& a, const RotatingVector& b) {
-  return a.to_version_vector().compare(b.to_version_vector());
+  // VersionVector::compare over the two vectors in place: walk each one and
+  // probe the other's site index. An absent element and a stored zero both
+  // read 0, so the verdict equals to_version_vector().compare(...) without
+  // building either map.
+  bool a_has_more = false;  // some a[i] > b[i]
+  bool b_has_more = false;
+  for (const RotatingVector::Element e : a) {
+    const std::uint64_t theirs = b.value(e.site);
+    if (e.value > theirs) a_has_more = true;
+    if (e.value < theirs) b_has_more = true;
+    if (a_has_more && b_has_more) return Ordering::kConcurrent;
+  }
+  if (!b_has_more) {
+    for (const RotatingVector::Element e : b) {
+      if (e.value > a.value(e.site)) {
+        b_has_more = true;
+        break;
+      }
+    }
+  }
+  if (a_has_more && b_has_more) return Ordering::kConcurrent;
+  if (a_has_more) return Ordering::kAfter;
+  if (b_has_more) return Ordering::kBefore;
+  return Ordering::kEqual;
 }
 
 }  // namespace optrep::vv

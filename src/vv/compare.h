@@ -29,6 +29,8 @@ inline std::uint64_t compare_cost_bits(const CostModel& cm) {
 
 // The classical full comparison, lifted to rotating vectors (baseline: O(n)
 // time, and O(n·log(mn)) bits if run remotely by shipping one whole vector).
+// Returns a.to_version_vector().compare(b.to_version_vector()) for any pair,
+// at-rest or not, with O(|a| + |b|) site-index probes and no allocation.
 Ordering compare_full(const RotatingVector& a, const RotatingVector& b);
 
 inline std::uint64_t compare_full_cost_bits(const CostModel& cm, std::size_t vector_size) {

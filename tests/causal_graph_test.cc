@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "common/rng.h"
 #include "graph/causal_graph.h"
 #include "graph/dot.h"
+#include "tests/alloc_counter.h"
 
 namespace optrep::graph {
 namespace {
@@ -133,6 +139,119 @@ TEST(CausalGraph, DotExportContainsNodesAndMergeShading) {
   EXPECT_NE(dot.find("\"A:2\" [style=filled, fillcolor=gray]"), std::string::npos);
   EXPECT_NE(dot.find("\"G:1\" -> \"A:2\""), std::string::npos);
   EXPECT_NE(dot.find("\"A:1\" -> \"B:1\""), std::string::npos);
+}
+
+// ---- storage: dense nodes plus a flat id index ------------------------------
+
+// Random insert_raw streams, exact duplicates included, replayed against an
+// ordered-map oracle. The index starts at 8 cells and doubles at load 0.5, so
+// 3000 distinct nodes take it through nine doublings; every lookup is checked
+// at each doubling boundary and at the end.
+TEST(CausalGraphStorage, RandomInsertRawMatchesMapOracle) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    CausalGraph g;
+    std::map<UpdateId, Node> oracle;
+    std::vector<UpdateId> order;  // distinct ids in insertion order
+    std::size_t arcs = 0;
+    std::uint64_t op_bytes = 0;
+    const auto check_lookups = [&] {
+      for (const auto& [id, n] : oracle) {
+        ASSERT_TRUE(g.contains(id));
+        const Node* found = g.find(id);
+        ASSERT_NE(found, nullptr);
+        EXPECT_EQ(*found, n);
+      }
+      for (int k = 0; k < 200; ++k) {
+        const UpdateId probe{SiteId{static_cast<std::uint32_t>(rng.below(64))},
+                             1 + rng.below(128)};
+        EXPECT_EQ(g.contains(probe), oracle.contains(probe));
+        EXPECT_EQ(g.find(probe) != nullptr, oracle.contains(probe));
+      }
+    };
+    while (order.size() < 3000) {
+      if (!order.empty() && rng.chance(0.2)) {
+        const UpdateId dup = order[rng.below(order.size())];
+        g.insert_raw(oracle.at(dup));  // identical contents: a no-op
+      } else {
+        Node n;
+        n.id = UpdateId{SiteId{static_cast<std::uint32_t>(rng.below(64))},
+                        1 + rng.below(128)};
+        if (oracle.contains(n.id)) continue;
+        if (!order.empty() && rng.chance(0.9)) n.lp = order[rng.below(order.size())];
+        if (!order.empty() && rng.chance(0.3)) n.rp = order[rng.below(order.size())];
+        n.op_bytes = static_cast<std::uint32_t>(rng.below(100));
+        g.insert_raw(n);
+        oracle.emplace(n.id, n);
+        order.push_back(n.id);
+        arcs += (n.lp != kNoParent) + (n.rp != kNoParent);
+        op_bytes += n.op_bytes;
+      }
+      ASSERT_EQ(g.node_count(), oracle.size());
+      ASSERT_EQ(g.arc_count(), arcs);
+      ASSERT_EQ(g.total_op_bytes(), op_bytes);
+      const std::size_t n = order.size();
+      if ((n & (n - 1)) == 0 || ((n - 1) & (n - 2)) == 0) check_lookups();
+    }
+    check_lookups();
+    const std::vector<Node>& all = g.all_nodes();
+    ASSERT_EQ(all.size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(all[i].id, order[i]) << i;
+  }
+}
+
+TEST(CausalGraphStorage, EqualityIgnoresInsertionOrder) {
+  Fig3 f;
+  std::vector<Node> nodes = f.site_a.all_nodes();
+  std::reverse(nodes.begin(), nodes.end());
+  CausalGraph reversed;
+  for (const Node& n : nodes) reversed.insert_raw(n);
+  EXPECT_EQ(reversed.all_nodes().front().id, f.n7);  // insertion order kept
+  EXPECT_EQ(f.site_a.all_nodes().front().id, f.n1);
+  EXPECT_TRUE(reversed == f.site_a);
+  EXPECT_TRUE(f.site_a == reversed);
+
+  // One node fewer, or one node with different contents, is a different graph.
+  CausalGraph fewer;
+  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) fewer.insert_raw(nodes[i]);
+  EXPECT_FALSE(fewer == f.site_a);
+  EXPECT_FALSE(f.site_a == fewer);
+  CausalGraph changed;
+  for (Node n : nodes) {
+    if (n.id == f.n5) n.op_bytes = 7;
+    changed.insert_raw(n);
+  }
+  EXPECT_FALSE(changed == f.site_a);
+}
+
+TEST(CausalGraphStorage, ConflictingDuplicateDies) {
+  CausalGraph g;
+  g.create(op(A, 1));
+  g.append(op(A, 2));
+  EXPECT_DEATH(g.insert_raw(Node{op(A, 2), op(B, 1)}), "conflicting node contents");
+  EXPECT_DEATH(g.insert_raw(Node{op(A, 2), op(A, 1), kNoParent, 9}),
+               "conflicting node contents");
+}
+
+// A one-node graph owns one node and one small index (what a gossip world
+// pays per site at construction); after that the nodes grow 1.5x and the
+// index doubles, so inserting N nodes costs O(log N) allocations.
+TEST(CausalGraphStorage, InsertingNodesCostsLogarithmicAllocations) {
+  CausalGraph g;
+  std::uint64_t before = g_alloc_count;
+  g.create(op(A, 1));
+  EXPECT_EQ(g_alloc_count - before, 2u);
+
+  constexpr std::uint64_t kNodes = 1u << 14;
+  before = g_alloc_count;
+  for (std::uint64_t seq = 2; seq <= kNodes; ++seq) g.append(op(A, seq));
+  const std::uint64_t allocs = g_alloc_count - before;
+  EXPECT_EQ(g.node_count(), kNodes);
+  // log1.5(2^14) ≈ 24 node-array growths plus 11 index doublings.
+  EXPECT_LE(allocs, 40u);
+  EXPECT_GE(allocs, 14u);
+  EXPECT_TRUE(g.validate_closed());
+  EXPECT_TRUE(g.is_ancestor(op(A, 1), op(A, kNodes)));
 }
 
 }  // namespace

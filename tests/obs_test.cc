@@ -3,8 +3,6 @@
 // the no-allocation guarantee on the hot recording paths.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include "obs/export.h"
@@ -12,35 +10,12 @@
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "repl/state_system.h"
+#include "sim/scenario.h"
+#include "tests/alloc_counter.h"
+#include "vv/compare.h"
 #include "vv/session.h"
 #include "workload/report.h"
 #include "workload/trace.h"
-
-// Global allocation counter: every path through operator new bumps it, so a
-// test can assert that a code region performed no heap allocation at all.
-static std::uint64_t g_alloc_count = 0;
-
-// GCC pairs the replaced operators against the built-in malloc/free and warns
-// spuriously; replacement operators routing through malloc are well-defined.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t n) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#pragma GCC diagnostic pop
 
 namespace optrep::obs {
 namespace {
@@ -416,6 +391,75 @@ TEST(HotPath, SteadyStateSyncSessionAllocatesNoHeapMemory) {
   for (std::uint32_t i = 0; i < kSites; ++i) {
     EXPECT_EQ(a.value(SiteId{i}), b.value(SiteId{i})) << "site " << i;
   }
+}
+
+// The gossip exchange decides every relation with the full element-wise
+// comparison; it walks the two vectors in place and allocates nothing.
+TEST(HotPath, CompareFullAllocatesNoHeapMemory) {
+  vv::RotatingVector a, b;
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    a.record_update(SiteId{i});
+    if (i % 3 != 0) b.record_update(SiteId{i});
+  }
+  vv::RotatingVector c = a;
+  c.record_update(SiteId{40});
+  b.record_update(SiteId{41});
+  const vv::RotatingVector* vs[] = {&a, &b, &c};
+  vv::Ordering want[3][3];
+  for (int x = 0; x < 3; ++x) {
+    for (int y = 0; y < 3; ++y) {
+      want[x][y] = vs[x]->to_version_vector().compare(vs[y]->to_version_vector());
+    }
+  }
+
+  vv::Ordering got[3][3];
+  const std::uint64_t before = g_alloc_count;
+  for (int rep = 0; rep < 1000; ++rep) {
+    for (int x = 0; x < 3; ++x) {
+      for (int y = 0; y < 3; ++y) got[x][y] = vv::compare_full(*vs[x], *vs[y]);
+    }
+  }
+  EXPECT_EQ(g_alloc_count, before) << "compare_full must not allocate";
+  for (int x = 0; x < 3; ++x) {
+    for (int y = 0; y < 3; ++y) EXPECT_EQ(got[x][y], want[x][y]) << x << " vs " << y;
+  }
+  EXPECT_EQ(got[0][1], vv::Ordering::kConcurrent);
+  EXPECT_EQ(got[0][2], vv::Ordering::kBefore);
+}
+
+// The gossip exchange path end to end: once a large SRV world's vectors, its
+// dirty queues and the event loop are warm, whole bursts of writes and
+// gossip rounds (COMPARE, sessions both ways, reconciliations, convergence
+// bookkeeping) run without touching the heap.
+TEST(HotPath, SteadyStateSrvGossipAllocatesNoHeapMemory) {
+  sim::ScenarioWorld::Config cfg;
+  cfg.algo = sim::ScenarioAlgo::kSrv;
+  cfg.sites = 2000;
+  cfg.writers = 16;
+  cfg.mesh = sim::MeshKind::kSmallWorld;
+  cfg.degree = 3;
+  cfg.seed = 5;
+  cfg.cost = CostModel{.n = cfg.sites, .m = 1 << 16};
+  sim::ScenarioWorld world(cfg);
+
+  std::uint32_t exchanges = 0;
+  const auto burst = [&] {
+    for (int w = 0; w < 16; ++w) world.local_update(world.next_writer());
+    for (int r = 0; r < 4; ++r) exchanges += world.gossip_round();
+  };
+  for (int warm = 0; warm < 4; ++warm) burst();
+
+  for (int b = 0; b < 4; ++b) {
+    const std::uint32_t exchanges_before = exchanges;
+    const std::uint64_t sessions_before = world.totals().sessions;
+    const std::uint64_t before = g_alloc_count;
+    burst();
+    EXPECT_EQ(g_alloc_count, before) << "burst " << b << " allocated";
+    // The burst did real work: exchanges, and sessions that moved state.
+    EXPECT_GT(exchanges, exchanges_before + 100);
+    EXPECT_GT(world.totals().sessions, sessions_before + 100);
+  }
+  EXPECT_GT(world.totals().reconciliations, 0u);
 }
 
 }  // namespace
