@@ -1,43 +1,26 @@
 // SYNCG (Algorithm 5): incremental synchronization of causal graphs, plus
-// the traditional full-graph-transfer baseline.
+// the traditional full-graph-transfer baseline, run over the simulator.
 //
-// The sender runs a depth-first search from its sink along reverse arcs,
-// streaming each node (with its two parent ids and, in operation-transfer
-// systems, its operation payload). When the receiver sees a node it already
-// has, it tells the sender to abort the current branch and names the node
-// the next branch should start from (taken from a mirror of the sender's DFS
-// stack). The result is O(|V_b \ V_a| + |A_b \ A_a|) communication: only the
-// missing nodes plus one overlapping node per branch are transmitted.
+// The protocols themselves are the sans-I/O cores of
+// graph/protocol/graph_core.h (the DFS sender, the mirror-stack receiver,
+// and the baseline pair); a session here drives one sender core and one
+// receiver core through the shared simulator driver (vv/core_driver.h) and
+// reports its exact traffic, node and timing accounting. SYNCG transmits
+// O(|V_b \ V_a| + |A_b \ A_a|): only the missing nodes plus one overlapping
+// node per branch.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
+#include <vector>
 
 #include "common/cost_model.h"
 #include "graph/causal_graph.h"
+#include "graph/protocol/graph_core.h"  // GraphMsg
 #include "sim/event_loop.h"
 #include "sim/frame_link.h"
 #include "vv/session.h"  // TransferMode
 
 namespace optrep::graph {
-
-struct GraphMsg {
-  enum class Kind : std::uint8_t {
-    kNode,    // sender→receiver: node id + parents (+ operation payload)
-    kSkipTo,  // receiver→sender: abort branch; next branch starts at `target`
-    kJumped,  // sender→receiver: a SKIPTO was honored (O(1) marker letting
-              // the receiver distinguish in-flight stragglers from the next
-              // branch; the graph analogue of SYNCS's SKIPPED — DESIGN.md)
-    kHalt,    // either direction: sender exhausted / receiver has everything
-    kAck,     // stop-and-wait flow control (ablation modes)
-  };
-  Kind kind{Kind::kNode};
-  Node node{};        // kNode
-  UpdateId target{};  // kSkipTo
-
-  std::string to_string() const;
-};
 
 // Sizes under the §3.3-style cost model: a node id costs log n + log m bits.
 std::uint64_t graph_msg_model_bits(const CostModel& cm, const GraphMsg& m);

@@ -1,15 +1,19 @@
 // Sans-I/O protocol core vocabulary.
 //
-// Every sync protocol in this repository (SYNCB/SYNCC/SYNCS, the two
-// baselines, and COMPARE) is implemented as a pure state machine with a
-// single entry point, `step(event, actions)`: the core consumes one Event
-// (session start, a wire message, a link-free notification, an abort) and
-// appends zero or more Actions describing what the transport should do.
-// Cores never touch `sim::EventLoop`, `sim::FrameLink`, clocks, or tracing —
-// all timing, framing, speculation bookkeeping, and observability live in the
-// binding (vv/session.cc), which pumps cores over the simulator. The same
-// cores can be driven by an in-memory queue harness with no event loop at
-// all, which is what the adversarial interleaving fuzz tests do.
+// Every sync protocol in this repository — SYNCB/SYNCC/SYNCS, the two vector
+// baselines and COMPARE (vv/protocol/), SYNCG and the full-graph baseline
+// (graph/protocol/) — is implemented as a pure state machine with a single
+// entry point, `step(event, actions)`: the core consumes one Event (session
+// start, a wire message, a link-free notification, an abort) and appends
+// zero or more Actions describing what the transport should do. The
+// vocabulary is generic over the wire message (BasicEvent<Msg>,
+// BasicAction<Msg>); Event/Action/Actions name the VvMsg instances. Cores
+// never touch `sim::EventLoop`, `sim::FrameLink`, clocks, or tracing — all
+// timing, framing, speculation bookkeeping, and observability live in the
+// binding: one simulator driver (vv/core_driver.h) pumps every core, and
+// net::SessionEngine pumps the vector cores over TCP. The same cores can be
+// driven by an in-memory queue harness with no event loop at all, which is
+// what the adversarial interleaving fuzz tests do.
 //
 // Time never appears here. Where the legacy actors scheduled continuations
 // ("pump again when the link frees"), a core emits a scheduling Action and
@@ -26,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "vv/wire.h"
@@ -41,54 +46,68 @@ struct TailView {
   bool halt{false};                 // a speculative end-of-vector HALT queued
 };
 
-struct Event {
-  enum class Type : std::uint8_t {
-    kStart,     // session begins; the core may emit its opening sends
-    kMsg,       // a wire message arrived (msg, plus tail for HALT/SKIP)
-    kLinkFree,  // a previously requested pump continuation fired
-    kAbort,     // session torn down mid-flight (fault recovery): close state
-  };
-
-  Type type{Type::kStart};
-  VvMsg msg{};
-  TailView tail{};
-
-  static Event start() { return Event{Type::kStart, {}, {}}; }
-  static Event msg_arrival(const VvMsg& m, TailView t = {}) {
-    return Event{Type::kMsg, m, t};
-  }
-  static Event link_free() { return Event{Type::kLinkFree, {}, {}}; }
-  static Event abort() { return Event{Type::kAbort, {}, {}}; }
+enum class EventType : std::uint8_t {
+  kStart,     // session begins; the core may emit its opening sends
+  kMsg,       // a wire message arrived (msg, plus tail for HALT/SKIP)
+  kLinkFree,  // a previously requested pump continuation fired
+  kAbort,     // session torn down mid-flight (fault recovery): close state
 };
 
-struct Action {
-  enum class Type : std::uint8_t {
-    kSend,            // hand msg to the link, committed at hand-off
-    kSendRevocable,   // hand msg to the link as a speculative (revocable) send
-    kRevokeTail,      // take back the link's speculative tail (core state
-                      // already rewound from the TailView)
-    kPumpWhenFree,    // park one kLinkFree continuation at the link-free time
-                      // reached by the preceding sends
-    kCaptureResume,   // remember max(now, link-free) as the resume instant —
-                      // emitted before a send that must not delay the resume
-    kRepumpAtResume,  // cancel the parked continuation; re-park at the
-                      // captured resume instant
-    kFinished,        // this side is done: cancel continuations, stamp time
-    kTraceApplied,    // receiver-side semantic trace events; msg carries the
-    kTraceRedundant,  //   element being classified (no transport effect)
-    kTraceStraggler,
-  };
+template <class Msg>
+struct BasicEvent {
+  using Type = EventType;
+
+  Type type{Type::kStart};
+  Msg msg{};
+  TailView tail{};
+
+  static BasicEvent start() { return BasicEvent{Type::kStart, {}, {}}; }
+  static BasicEvent msg_arrival(const Msg& m, TailView t = {}) {
+    return BasicEvent{Type::kMsg, m, t};
+  }
+  static BasicEvent link_free() { return BasicEvent{Type::kLinkFree, {}, {}}; }
+  static BasicEvent abort() { return BasicEvent{Type::kAbort, {}, {}}; }
+};
+
+// One action vocabulary for every message type.
+enum class ActionType : std::uint8_t {
+  kSend,            // hand msg to the link, committed at hand-off
+  kSendRevocable,   // hand msg to the link as a speculative (revocable) send
+  kRevokeTail,      // take back the link's speculative tail (core state
+                    // already rewound from the TailView)
+  kPumpWhenFree,    // park one kLinkFree continuation at the link-free time
+                    // reached by the preceding sends
+  kCaptureResume,   // remember max(now, link-free) as the resume instant —
+                    // emitted before a send that must not delay the resume
+  kRepumpAtResume,  // cancel the parked continuation; re-park at the
+                    // captured resume instant
+  kFinished,        // this side is done: cancel continuations, stamp time
+  kTraceApplied,    // receiver-side semantic trace events; msg carries the
+  kTraceRedundant,  //   element being classified (no transport effect)
+  kTraceStraggler,
+};
+
+template <class Msg>
+struct BasicAction {
+  using Type = ActionType;
 
   Type type{Type::kSend};
-  VvMsg msg{};
+  Msg msg{};
 };
 
 // Reused across dispatches by the binding; cores append only.
-using Actions = std::vector<Action>;
+template <class Msg>
+using BasicActions = std::vector<BasicAction<Msg>>;
 
-inline void emit(Actions& out, Action::Type type, const VvMsg& msg = {}) {
-  out.push_back(Action{type, msg});
+template <class Msg>
+void emit(BasicActions<Msg>& out, ActionType type,
+          const std::type_identity_t<Msg>& msg = {}) {
+  out.push_back(BasicAction<Msg>{type, msg});
 }
+
+using Event = BasicEvent<VvMsg>;
+using Action = BasicAction<VvMsg>;
+using Actions = BasicActions<VvMsg>;
 
 // Causal context carried by protocol actions (obs/causal.h): an element's
 // (site, value) pair IS the update identity the repl layer derives trace ids

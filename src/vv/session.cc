@@ -1,10 +1,12 @@
-// Thin I/O binding for the sans-I/O protocol cores (vv/protocol/).
+// Vector sessions over the simulator for the sans-I/O protocol cores
+// (vv/protocol/).
 //
 // All protocol logic — SYNCB/SYNCC/SYNCS, the two baselines, COMPARE — lives
-// in pure step(event)->actions state machines. This file owns everything the
-// cores must not: the event loop, the framed links, speculative send/revoke
-// bookkeeping, message sizing (§3.3 model bits + realistic bytes), tracing,
-// metrics, fault injection, and the retry loop (sync_with_recovery).
+// in pure step(event)->actions state machines, pumped by the shared
+// simulator driver (vv/core_driver.h). This file owns the rest of what the
+// cores must not: the framed links, message sizing (§3.3 model bits +
+// realistic bytes), tracing, metrics, fault injection, and the retry loop
+// (sync_with_recovery).
 #include "vv/session.h"
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include "obs/prof.h"
 #include "sim/fault_link.h"
 #include "vv/codec.h"
+#include "vv/core_driver.h"
 #include "vv/frame_codec.h"
 #include "vv/protocol/baseline_core.h"
 #include "vv/protocol/compare_core.h"
@@ -162,14 +165,6 @@ sim::FaultInjector<VvMsg>::Corrupter make_corrupter(CostModel cm, VectorKind kin
   };
 }
 
-// Scratch action buffer shared by every driver on this thread: dispatches
-// never nest (links deliver via scheduled events, never synchronously), and
-// the retained capacity keeps steady-state sessions off the allocator.
-protocol::Actions& scratch_actions() {
-  static thread_local protocol::Actions acts;
-  return acts;
-}
-
 // Where a session's causal span hangs: under sync_with_recovery's root span,
 // stamped with the retry attempt, or at the top (span 0) for a direct call.
 struct SpanParent {
@@ -180,14 +175,18 @@ struct SpanParent {
 // One session's transport and observer feed: the framed duplex, the fault
 // injectors, and for each wire message (and each injected fault) one
 // obs::TraceEvent, recorded by the tracer and the flight recorder, plus the
-// causal tracer's edge for the same message.
+// causal tracer's edge for the same message. It is also the wiring the
+// CoreDriver (vv/core_driver.h) asks for the clock, send sizes, tails and
+// traces.
 struct SessionWiring {
   using Handler = std::function<void(const VvMsg&)>;
 
-  SessionWiring(sim::EventLoop& loop, const SyncOptions& opt, SpanParent parent)
+  SessionWiring(sim::EventLoop& loop, const SyncOptions& opt, SpanParent parent,
+                VectorKind kind)
       : duplex(&loop, opt.net),
         loop_(&loop),
         opt_(&opt),
+        size_kind(kind),
         tracer(opt.tracer),
         recorder(opt.recorder),
         causal(opt.causal),
@@ -233,7 +232,7 @@ struct SessionWiring {
   // FaultInjector interposes per direction; with faults off no injector is
   // constructed and the delivery path is identical to the pre-fault build
   // (fault-free bit-identity is a hard invariant, tested).
-  void connect(Handler to_receiver, Handler to_sender, VectorKind size_kind) {
+  void connect(Handler to_receiver, Handler to_sender) {
     if (opt_->net.faults.enabled()) {
       // Reordered messages are held one propagation latency by default (plus
       // ε so zero-latency links still reorder).
@@ -323,10 +322,41 @@ struct SessionWiring {
     if (causal != nullptr) causal->fault(e.at, span, forward, e.fault, e.site, e.value);
   }
 
+  sim::EventLoop* loop() const { return loop_; }
+
+  SendSize size(const VvMsg& m) const {
+    if (m.kind == VvMsg::Kind::kAck && opt_->mode == TransferMode::kIdeal) {
+      return {};  // kIdeal: flow control is free; measures pure algorithm cost
+    }
+    return {msg_model_bits(opt_->cost, size_kind, m), msg_wire_bytes(size_kind, m)};
+  }
+
+  // Snapshot of the speculative tail of the outgoing link when a HALT or SKIP
+  // arrives: the core decides on revocation from counts alone (sans-I/O),
+  // and cancel_tail revokes exactly the messages this peek visits.
+  protocol::TailView tail(const VvMsg& m, const sim::FrameLink<VvMsg>& tx) const {
+    protocol::TailView t;
+    if (m.kind != VvMsg::Kind::kHalt && m.kind != VvMsg::Kind::kSkip) return t;
+    tx.peek_tail([&t](const VvMsg& q) {
+      if (q.kind == VvMsg::Kind::kHalt) {
+        t.halt = true;
+      } else if (q.kind == VvMsg::Kind::kElem) {
+        ++t.elems;
+        if (q.segment) ++t.segment_finals;
+      }
+    });
+    return t;
+  }
+
   // A receiver core's trace action (protocol/core.h): the applied / redundant
   // / straggler classification of one element. An applied element is the
   // moment receiver state advanced, so it is also a kApply causal edge.
-  void core_event(obs::TraceEventType type, const VvMsg& m) {
+  void trace(protocol::ActionType action, const VvMsg& m) {
+    const obs::TraceEventType type = action == protocol::ActionType::kTraceApplied
+                                         ? obs::TraceEventType::kElemApplied
+                                     : action == protocol::ActionType::kTraceRedundant
+                                         ? obs::TraceEventType::kElemRedundant
+                                         : obs::TraceEventType::kElemStraggler;
     if (causal != nullptr && type == obs::TraceEventType::kElemApplied) {
       causal->apply(loop_->now(), span, m.site, m.value);
     }
@@ -366,6 +396,7 @@ struct SessionWiring {
   sim::FrameDuplex<VvMsg> duplex;  // a_to_b: receiver→sender, b_to_a: sender→receiver
   sim::EventLoop* loop_;
   const SyncOptions* opt_;
+  VectorKind size_kind;
   obs::Tracer* tracer{nullptr};
   obs::FlightRecorder* recorder{nullptr};
   obs::CausalTracer* causal{nullptr};
@@ -375,168 +406,6 @@ struct SessionWiring {
   std::optional<sim::FaultInjector<VvMsg>> inj_rev;
 };
 
-// Pumps one protocol core over one direction of the simulated transport:
-// executes the core's actions (sized counted sends, revocations, parked
-// continuations, trace markers) and feeds arriving messages back as events.
-// This is the only place protocol state meets the clock.
-template <class Core>
-class CoreDriver {
- public:
-  CoreDriver(SessionWiring* wiring, sim::FrameLink<VvMsg>* tx, VectorKind size_kind,
-             Core core)
-      : loop_(wiring->loop_),
-        tx_(tx),
-        opt_(wiring->opt_),
-        wiring_(wiring),
-        size_kind_(size_kind),
-        core_(std::move(core)) {}
-
-  // Parked continuations capture `this`: pinned to the construction address.
-  CoreDriver(const CoreDriver&) = delete;
-  CoreDriver& operator=(const CoreDriver&) = delete;
-
-  Core& core() { return core_; }
-  const Core& core() const { return core_; }
-
-  void start() { dispatch(protocol::Event::start()); }
-  void abort() { dispatch(protocol::Event::abort()); }
-
-  void on_message(const VvMsg& m) {
-    protocol::TailView tail;
-    if (m.kind == VvMsg::Kind::kHalt || m.kind == VvMsg::Kind::kSkip) {
-      // Snapshot the speculative tail of our outgoing link: the core decides
-      // on revocation from counts alone (sans-I/O), and cancel_tail revokes
-      // exactly the messages this peek visits.
-      tx_->peek_tail([&tail](const VvMsg& q) {
-        if (q.kind == VvMsg::Kind::kHalt) {
-          tail.halt = true;
-        } else if (q.kind == VvMsg::Kind::kElem) {
-          ++tail.elems;
-          if (q.segment) ++tail.segment_finals;
-        }
-      });
-    }
-    dispatch(protocol::Event::msg_arrival(m, tail));
-  }
-
-  sim::Time done_at() const { return done_at_; }
-
- private:
-  void on_pump() {
-    pending_ = 0;
-    dispatch(protocol::Event::link_free());
-  }
-
-  sim::Time send(const VvMsg& m, bool revocable) {
-    std::uint64_t bits = msg_model_bits(opt_->cost, size_kind_, m);
-    std::uint64_t bytes = msg_wire_bytes(size_kind_, m);
-    if (m.kind == VvMsg::Kind::kAck && opt_->mode == TransferMode::kIdeal) {
-      bits = 0;  // kIdeal: flow control is free; measures pure algorithm cost
-      bytes = 0;
-    }
-    return tx_->send(m, bits, bytes, revocable);
-  }
-
-  void dispatch(const protocol::Event& ev) {
-    protocol::Actions& acts = scratch_actions();
-    acts.clear();
-    core_.step(ev, acts);
-    // `free` tracks the link-free time reached by this dispatch's sends —
-    // where kPumpWhenFree parks the continuation (the unframed pump's
-    // schedule, and the last burst message's free time when framed).
-    sim::Time free = loop_->now();
-    for (const protocol::Action& a : acts) {
-      switch (a.type) {
-        case protocol::Action::Type::kSend:
-          free = send(a.msg, /*revocable=*/false);
-          break;
-        case protocol::Action::Type::kSendRevocable:
-          free = send(a.msg, /*revocable=*/true);
-          break;
-        case protocol::Action::Type::kRevokeTail:
-          // The core already rewound its cursor from the event's TailView.
-          tx_->cancel_tail([](const VvMsg&) {});
-          break;
-        case protocol::Action::Type::kPumpWhenFree:
-          pending_ = loop_->schedule(free, [this] { on_pump(); });
-          break;
-        case protocol::Action::Type::kCaptureResume:
-          resume_ = std::max(loop_->now(), tx_->free_at());
-          break;
-        case protocol::Action::Type::kRepumpAtResume:
-          if (pending_ != 0) loop_->cancel(pending_);
-          pending_ = loop_->schedule(resume_, [this] { on_pump(); });
-          break;
-        case protocol::Action::Type::kFinished:
-          if (done_at_ == 0) done_at_ = loop_->now();
-          if (pending_ != 0) {
-            loop_->cancel(pending_);
-            pending_ = 0;
-          }
-          break;
-        case protocol::Action::Type::kTraceApplied:
-          wiring_->core_event(obs::TraceEventType::kElemApplied, a.msg);
-          break;
-        case protocol::Action::Type::kTraceRedundant:
-          wiring_->core_event(obs::TraceEventType::kElemRedundant, a.msg);
-          break;
-        case protocol::Action::Type::kTraceStraggler:
-          wiring_->core_event(obs::TraceEventType::kElemStraggler, a.msg);
-          break;
-      }
-    }
-  }
-
-  sim::EventLoop* loop_;
-  sim::FrameLink<VvMsg>* tx_;
-  const SyncOptions* opt_;
-  SessionWiring* wiring_;
-  VectorKind size_kind_;
-  Core core_;
-  sim::EventLoop::EventId pending_{0};
-  sim::Time resume_{0};
-  sim::Time done_at_{0};
-};
-
-// The one shared report builder: rotating sessions and baseline sessions
-// fill the same fields from the same sources (link stats, receiver counters,
-// timing) instead of each assembling a SyncReport by hand.
-struct SessionAccounting {
-  Ordering rel{Ordering::kEqual};
-  std::uint64_t compare_bits{0};
-  sim::Time t0{0};
-  sim::Time t_end{0};
-  const sim::LinkStats* fwd{nullptr};
-  const sim::LinkStats* rev{nullptr};
-  std::uint64_t elems_sent{0};
-  const protocol::ReceiverCounters* rc{nullptr};
-  sim::Time receiver_done_at{0};
-  std::uint64_t sender_violations{0};
-
-  SyncReport build() const {
-    SyncReport r;
-    r.initial_relation = rel;
-    r.bits_fwd = fwd->model_bits + compare_bits / 2;
-    r.bits_rev = rev->model_bits + compare_bits / 2;
-    r.bytes_fwd = fwd->wire_bytes + (compare_bits > 0 ? wire_bytes_elem(false) : 0);
-    r.bytes_rev = rev->wire_bytes + (compare_bits > 0 ? wire_bytes_elem(false) : 0);
-    r.msgs_fwd = fwd->messages + (compare_bits > 0 ? 1 : 0);
-    r.msgs_rev = rev->messages + (compare_bits > 0 ? 1 : 0);
-    r.elems_sent = elems_sent;
-    r.elems_applied = rc->applied;
-    r.elems_redundant = rc->redundant;
-    r.elems_straggler = rc->straggler;
-    r.elems_after_halt = rc->after_halt;
-    r.skip_msgs = rc->skip_msgs;
-    r.segments_skipped = rc->segments_skipped;
-    r.ack_msgs = rc->acks;
-    r.duration = t_end - t0;
-    r.receiver_done_at = (receiver_done_at > t0 ? receiver_done_at - t0 : 0);
-    r.protocol_violations = sender_violations + rc->violations;
-    return r;
-  }
-};
-
 // The one session runner: drives a sender core and a receiver core over a
 // fresh framed duplex until the loop quiesces, then builds the report.
 // Messages are sized as `size_kind` elements (baselines: plain BRV elements).
@@ -544,12 +413,13 @@ template <class SenderCore, class ReceiverCore>
 SyncReport run_session(sim::EventLoop& loop, const SyncOptions& opt, SpanParent parent,
                        VectorKind size_kind, Ordering rel, std::uint64_t compare_bits,
                        SenderCore sender_core, ReceiverCore receiver_core) {
-  SessionWiring w(loop, opt, parent);
-  CoreDriver<SenderCore> sender(&w, &w.duplex.b_to_a(), size_kind, std::move(sender_core));
-  CoreDriver<ReceiverCore> receiver(&w, &w.duplex.a_to_b(), size_kind,
-                                    std::move(receiver_core));
+  SessionWiring w(loop, opt, parent, size_kind);
+  CoreDriver<VvMsg, SenderCore, SessionWiring> sender(&w, &w.duplex.b_to_a(),
+                                                      std::move(sender_core));
+  CoreDriver<VvMsg, ReceiverCore, SessionWiring> receiver(&w, &w.duplex.a_to_b(),
+                                                          std::move(receiver_core));
   w.connect([&receiver](const VvMsg& m) { receiver.on_message(m); },
-            [&sender](const VvMsg& m) { sender.on_message(m); }, size_kind);
+            [&sender](const VvMsg& m) { sender.on_message(m); });
   const sim::Time t0 = loop.now();
   const std::uint64_t ev0 = loop.executed_events();
   w.trace_boundary(obs::TraceEventType::kSessionBegin, 0);
@@ -561,17 +431,30 @@ SyncReport run_session(sim::EventLoop& loop, const SyncOptions& opt, SpanParent 
     // next attempt and for future sessions.
     receiver.abort();
   }
-  const SessionAccounting acc{rel,
-                              compare_bits,
-                              t0,
-                              t_end,
-                              &w.duplex.b_to_a().stats(),
-                              &w.duplex.a_to_b().stats(),
-                              sender.core().elems_sent(),
-                              &receiver.core().counters(),
-                              receiver.done_at(),
-                              sender.core().violations()};
-  SyncReport r = acc.build();
+  // A session that ran COMPARE charges one probe each way.
+  const bool probed = compare_bits > 0;
+  const sim::LinkStats& fwd = w.duplex.b_to_a().stats();
+  const sim::LinkStats& rev = w.duplex.a_to_b().stats();
+  const protocol::ReceiverCounters& rc = receiver.core().counters();
+  SyncReport r;
+  r.initial_relation = rel;
+  r.bits_fwd = fwd.model_bits + compare_bits / 2;
+  r.bits_rev = rev.model_bits + compare_bits / 2;
+  r.bytes_fwd = fwd.wire_bytes + (probed ? wire_bytes_elem(false) : 0);
+  r.bytes_rev = rev.wire_bytes + (probed ? wire_bytes_elem(false) : 0);
+  r.msgs_fwd = fwd.messages + (probed ? 1 : 0);
+  r.msgs_rev = rev.messages + (probed ? 1 : 0);
+  r.elems_sent = sender.core().elems_sent();
+  r.elems_applied = rc.applied;
+  r.elems_redundant = rc.redundant;
+  r.elems_straggler = rc.straggler;
+  r.elems_after_halt = rc.after_halt;
+  r.skip_msgs = rc.skip_msgs;
+  r.segments_skipped = rc.segments_skipped;
+  r.ack_msgs = rc.acks;
+  r.duration = t_end - t0;
+  r.receiver_done_at = receiver.done_at() > t0 ? receiver.done_at() - t0 : 0;
+  r.protocol_violations = sender.core().violations() + rc.violations;
   w.harvest_framing(ev0, r);
   w.trace_boundary(obs::TraceEventType::kSessionEnd, r.total_bits());
   if (w.causal != nullptr) {
@@ -847,13 +730,13 @@ CompareSessionResult compare_session(sim::EventLoop& loop, const RotatingVector&
   opt.net = net;
   opt.net.faults = {};
   opt.cost = cost;
-  SessionWiring w(loop, opt, {});
-  CoreDriver<protocol::CompareCore> da(&w, &w.duplex.a_to_b(), opt.kind,
-                                       protocol::CompareCore(&a));
-  CoreDriver<protocol::CompareCore> db(&w, &w.duplex.b_to_a(), opt.kind,
-                                       protocol::CompareCore(&b));
+  SessionWiring w(loop, opt, {}, opt.kind);
+  CoreDriver<VvMsg, protocol::CompareCore, SessionWiring> da(&w, &w.duplex.a_to_b(),
+                                                             protocol::CompareCore(&a));
+  CoreDriver<VvMsg, protocol::CompareCore, SessionWiring> db(&w, &w.duplex.b_to_a(),
+                                                             protocol::CompareCore(&b));
   w.connect([&da](const VvMsg& m) { da.on_message(m); },
-            [&db](const VvMsg& m) { db.on_message(m); }, opt.kind);
+            [&db](const VvMsg& m) { db.on_message(m); });
   const sim::Time t0 = loop.now();
   loop.schedule(t0, [&da, &db] {
     da.start();

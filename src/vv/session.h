@@ -2,9 +2,10 @@
 // (Alg 4), plus the traditional full-vector baseline and the
 // Singhal–Kshemkalyani incremental baseline [23].
 //
-// A session runs a sender actor (hosting vector b) and a receiver actor
-// (hosting vector a, which is modified) on the discrete-event simulator and
-// returns a SyncReport with exact traffic, element and timing accounting.
+// A session drives a sender core (hosting vector b) and a receiver core
+// (hosting vector a, which is modified) through the simulator driver
+// (vv/core_driver.h) and returns a SyncReport with exact traffic, element and
+// timing accounting.
 //
 // Transfer modes:
 //  - kPipelined:   the paper's network pipelining (§3.1): the sender streams

@@ -1,8 +1,8 @@
-// Direct adversarial fuzzing of the sans-I/O protocol cores.
+// Direct adversarial fuzzing of the sans-I/O vector protocol cores.
 //
 // No event loop, no links, no clocks: the cores are pumped over in-memory
-// FIFO queues by a harness that drops, duplicates, reorders and corrupts
-// messages at delivery time. This exercises exactly the robustness contract
+// FIFO queues by a harness (core_harness.h) that drops, duplicates, reorders
+// and corrupts messages at delivery time. This exercises exactly the robustness contract
 // in protocol/core.h — a core must tolerate ANY event sequence without
 // aborting — and the recovery model: a faulted attempt may leave the
 // receiver short or wrong, but restarting from the original receiver state
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "tests/core_harness.h"
 #include "vv/compare.h"
 #include "vv/protocol/compare_core.h"
 #include "vv/protocol/receiver_core.h"
@@ -24,13 +25,6 @@
 
 namespace optrep::vv::protocol {
 namespace {
-
-struct FaultPlan {
-  double drop{0};
-  double dup{0};
-  double reorder{0};
-  double corrupt{0};
-};
 
 // Random control-plane garbage. Element values stay 0 on purpose: the wire
 // model's checksum rules out silently corrupted payloads, so an element that
@@ -46,102 +40,11 @@ VvMsg garbage_msg(Rng& rng) {
   return m;
 }
 
-// Pumps one sender core and one receiver core over two lossy FIFO queues
-// until no deliverable event remains (drained queues, no parked pump).
+using test::FaultPlan;
+
+// The shared queue harness (core_harness.h) over the element sender.
 template <typename ReceiverCore>
-class CoreHarness {
- public:
-  CoreHarness(ElementSenderCore::Config scfg, const RotatingVector* b,
-              ReceiverCore receiver, Rng& rng, FaultPlan faults)
-      : sender_(scfg, b), receiver_(std::move(receiver)), rng_(rng), faults_(faults) {}
-
-  void run() {
-    Actions acts;
-    sender_.step(Event::start(), acts);
-    dispatch_sender(acts);
-    std::uint64_t steps = 0;
-    while (steps++ < 200000) {
-      // Pick uniformly among the available moves so every interleaving of
-      // forward delivery, reverse delivery and pump firing is reachable.
-      int moves[3];
-      int n = 0;
-      if (!fwd_.empty()) moves[n++] = 0;
-      if (!rev_.empty()) moves[n++] = 1;
-      if (pump_pending_) moves[n++] = 2;
-      if (n == 0) break;
-      switch (moves[rng_.range(0, n - 1)]) {
-        case 0: deliver(fwd_, /*to_receiver=*/true); break;
-        case 1: deliver(rev_, /*to_receiver=*/false); break;
-        case 2: {
-          pump_pending_ = false;
-          Actions out;
-          sender_.step(Event::link_free(), out);
-          dispatch_sender(out);
-          break;
-        }
-      }
-    }
-    EXPECT_LT(steps, 200000u) << "harness failed to quiesce (livelock)";
-  }
-
-  const ElementSenderCore& sender() const { return sender_; }
-  const ReceiverCore& receiver() const { return receiver_; }
-
- private:
-  void deliver(std::deque<VvMsg>& q, bool to_receiver) {
-    std::size_t idx = 0;
-    if (q.size() > 1 && rng_.chance(faults_.reorder)) idx = 1;  // jump the queue
-    VvMsg m = q[idx];
-    // The fault model assumes a frame checksum: every in-flight corruption is
-    // detected and discarded (silent corruption is out of scope), so at this
-    // layer corrupt behaves like drop.
-    if (rng_.chance(faults_.corrupt) || rng_.chance(faults_.drop)) {
-      q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));
-      return;
-    }
-    if (!rng_.chance(faults_.dup)) {
-      q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));  // else redeliver later
-    }
-    Actions out;
-    if (to_receiver) {
-      receiver_.step(Event::msg_arrival(m), out);
-      dispatch_receiver(out);
-    } else {
-      sender_.step(Event::msg_arrival(m), out);
-      dispatch_sender(out);
-    }
-  }
-
-  void dispatch_sender(const Actions& acts) {
-    for (const Action& a : acts) {
-      switch (a.type) {
-        case Action::Type::kSend:
-        case Action::Type::kSendRevocable:
-          fwd_.push_back(a.msg);
-          break;
-        case Action::Type::kPumpWhenFree:
-        case Action::Type::kRepumpAtResume:
-          pump_pending_ = true;
-          break;
-        default:
-          break;  // revoke/capture/finish/traces: transport concerns
-      }
-    }
-  }
-
-  void dispatch_receiver(const Actions& acts) {
-    for (const Action& a : acts) {
-      if (a.type == Action::Type::kSend) rev_.push_back(a.msg);
-    }
-  }
-
-  ElementSenderCore sender_;
-  ReceiverCore receiver_;
-  Rng& rng_;
-  FaultPlan faults_;
-  std::deque<VvMsg> fwd_, rev_;
-  bool pump_pending_{false};
-};
+using CoreHarness = test::CoreHarness<VvMsg, ElementSenderCore, ReceiverCore>;
 
 // §2.1-conformant pair from a gossip world: each replica increments only its
 // own site's counter, and may adopt another replica's full state when that
@@ -208,22 +111,24 @@ void run_attempt(Algo algo, bool pipelined, const RotatingVector& b, RotatingVec
   scfg.pipelined = pipelined;
   switch (algo) {
     case Algo::kBasic: {
-      CoreHarness<BasicReceiverCore> h(scfg, &b, BasicReceiverCore(pipelined, &a), rng,
-                                       faults);
+      CoreHarness<BasicReceiverCore> h(ElementSenderCore(scfg, &b),
+                                       BasicReceiverCore(pipelined, &a), rng, faults);
       h.run();
       check(h.receiver().counters());
       break;
     }
     case Algo::kConflict: {
       CoreHarness<ConflictReceiverCore> h(
-          scfg, &b, ConflictReceiverCore(pipelined, &a, concurrent), rng, faults);
+          ElementSenderCore(scfg, &b), ConflictReceiverCore(pipelined, &a, concurrent), rng,
+          faults);
       h.run();
       check(h.receiver().counters());
       break;
     }
     case Algo::kSkip: {
       CoreHarness<SkipReceiverCore> h(
-          scfg, &b, SkipReceiverCore(pipelined, &a, concurrent), rng, faults);
+          ElementSenderCore(scfg, &b), SkipReceiverCore(pipelined, &a, concurrent), rng,
+          faults);
       h.run();
       check(h.receiver().counters());
       break;
