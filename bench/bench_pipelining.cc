@@ -35,7 +35,7 @@ PipeSample run_case(std::uint32_t k, double rtt_s, double bw_bits) {
     sim::EventLoop loop;
     const auto rep = vv::sync_rotating(loop, a, b, opt);
     s.t_pipe = rep.duration;
-    s.msgs_rev_pipe = rep.msgs_rev;
+    s.msgs_rev_pipe = rep.rev.messages;
     s.overshoot_elems = rep.elems_after_halt;
   }
   {
@@ -44,7 +44,7 @@ PipeSample run_case(std::uint32_t k, double rtt_s, double bw_bits) {
     sim::EventLoop loop;
     const auto rep = vv::sync_rotating(loop, a, b, opt);
     s.t_saw = rep.duration;
-    s.msgs_rev_saw = rep.msgs_rev;
+    s.msgs_rev_saw = rep.rev.messages;
   }
   return s;
 }

@@ -54,7 +54,7 @@ void part1_upper_bounds() {
     const auto rep = vv::sync_rotating(loop, empty, full, opt);
     Row row;
     row.measured = rep.total_bits();
-    row.bound = obs::table2_upper_bound_bits(cm, c.kind);
+    row.bound = vv::table2_upper_bound_bits(cm, c.kind);
     obs::JsonWriter w;
     w.begin_object();
     w.field("n", c.n);

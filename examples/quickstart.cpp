@@ -47,7 +47,7 @@ int main() {
   std::printf("  transferred %llu model bits (%llu bytes) in %llu messages\n",
               (unsigned long long)out.report.total_bits(),
               (unsigned long long)out.report.total_bytes(),
-              (unsigned long long)(out.report.msgs_fwd + out.report.msgs_rev));
+              (unsigned long long)(out.report.fwd.messages + out.report.rev.messages));
   std::printf("  Bob now: %s\n", sys.replica(kBob, kList).vector.to_string().c_str());
   std::printf("  Bob's list:");
   for (const auto& e : sys.replica(kBob, kList).data.entries) std::printf(" %s", e.c_str());

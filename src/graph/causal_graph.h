@@ -110,6 +110,11 @@ class CausalGraph {
   // Total payload bytes across nodes.
   std::uint64_t total_op_bytes() const { return op_bytes_; }
 
+  // Heap bytes held: the node vector's capacity plus the id index's cells.
+  std::uint64_t memory_bytes() const {
+    return nodes_.capacity() * sizeof(Node) + index_.memory_bytes();
+  }
+
   // Same node/arc sets, whatever the insertion order (sinks may differ
   // mid-sync).
   bool operator==(const CausalGraph& other) const;

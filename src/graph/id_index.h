@@ -52,6 +52,8 @@ class IdIndex {
     return kNil;
   }
 
+  std::uint64_t memory_bytes() const { return cells_.capacity() * sizeof(std::uint32_t); }
+
  private:
   static constexpr std::size_t kMinCells = 8;
 

@@ -151,16 +151,8 @@ GraphSyncReport run_graph_session(sim::EventLoop& loop, const GraphSyncOptions& 
   const protocol::GraphReceiverCounters& rc = receiver.core().counters();
   GraphSyncReport r;
   r.initial_relation = rel;
-  r.bits_fwd = fwd.stats().model_bits;
-  r.bits_rev = rev.stats().model_bits;
-  r.bytes_fwd = fwd.stats().wire_bytes;
-  r.bytes_rev = rev.stats().wire_bytes;
-  r.msgs_fwd = fwd.stats().messages;
-  r.msgs_rev = rev.stats().messages;
-  r.frames_fwd = fwd.stats().frames;
-  r.frames_rev = rev.stats().frames;
-  r.framed_bytes_fwd = fwd.stats().framed_wire_bytes;
-  r.framed_bytes_rev = rev.stats().framed_wire_bytes;
+  r.fwd = fwd.stats();
+  r.rev = rev.stats();
   r.loop_events = loop.executed_events() - ev0;
   r.nodes_sent = sender.core().nodes_sent();
   r.nodes_new = rc.nodes_new;

@@ -46,20 +46,14 @@ struct GraphSyncOptions {
 struct GraphSyncReport {
   vv::Ordering initial_relation{vv::Ordering::kEqual};
 
-  std::uint64_t bits_fwd{0};   // sender→receiver, model bits (metadata only)
-  std::uint64_t bits_rev{0};
-  std::uint64_t bytes_fwd{0};  // realistic encoding incl. operation payloads
-  std::uint64_t bytes_rev{0};
-  std::uint64_t msgs_fwd{0};
-  std::uint64_t msgs_rev{0};
-
-  // Frame batching (sim::FrameLink, opt.net.frame_budget): coalesced wire
-  // frames, their delta-varint byte totals, and the event-loop dispatches the
-  // sync executed. Model-bit fields above are identical with framing on/off.
-  std::uint64_t frames_fwd{0};
-  std::uint64_t frames_rev{0};
-  std::uint64_t framed_bytes_fwd{0};
-  std::uint64_t framed_bytes_rev{0};
+  // Traffic per direction (fwd: sender→receiver), as the session's links
+  // counted it: model bits cover metadata only, realistic bytes include the
+  // operation payloads, and frames are the coalesced wire frames with their
+  // delta-varint bytes (model bits are identical with framing on or off).
+  // Reports of several syncs add with `+=` on fwd and rev. loop_events
+  // counts the event-loop dispatches the sync executed.
+  sim::LinkStats fwd;
+  sim::LinkStats rev;
   std::uint64_t loop_events{0};
 
   std::uint64_t nodes_sent{0};       // kNode messages transmitted
@@ -74,7 +68,7 @@ struct GraphSyncReport {
 
   sim::Time duration{0};
 
-  std::uint64_t total_bits() const { return bits_fwd + bits_rev; }
+  std::uint64_t total_bits() const { return fwd.model_bits + rev.model_bits; }
 };
 
 // SYNCG_b(a): modify graph a to become the union of a and b. The sink is not

@@ -271,122 +271,4 @@ std::string append_trace_events(std::string doc, const Ring<TraceEvent>& events,
   return doc;
 }
 
-std::string trace_to_csv(const Tracer& t) {
-  std::string out = "t,session,type,dir,site,value,bits\n";
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const TraceEvent& e = t.event(i);
-    out += CsvRow()
-               .add(e.at, 9)
-               .add(e.session)
-               .add(to_string(e.type))
-               .add(e.forward ? "fwd" : "rev")
-               .add(std::uint64_t{e.site.value})
-               .add(e.value)
-               .add(e.bits)
-               .str();
-    out.push_back('\n');
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// SyncReport
-// ---------------------------------------------------------------------------
-
-std::uint64_t table2_upper_bound_bits(const CostModel& cm, vv::VectorKind kind) {
-  switch (kind) {
-    case vv::VectorKind::kBrv: return cm.brv_upper_bound_bits();
-    case vv::VectorKind::kCrv: return cm.crv_upper_bound_bits();
-    case vv::VectorKind::kSrv: return cm.srv_upper_bound_bits();
-  }
-  return 0;
-}
-
-bool within_table2_bound(const CostModel& cm, vv::VectorKind kind,
-                         const vv::SyncReport& r) {
-  // The COMPARE probes are a separate protocol with their own 2·log(mn)
-  // budget (§3.3); sessions fold them into the traffic totals, so the check
-  // allows for them on top of the Table 2 synchronization bound.
-  return r.total_bits() <= table2_upper_bound_bits(cm, kind) + vv::compare_cost_bits(cm);
-}
-
-void write_sync_report(JsonWriter& w, const vv::SyncReport& r) {
-  w.begin_object();
-  w.field("initial_relation", vv::to_string(r.initial_relation));
-  w.field("bits_fwd", r.bits_fwd);
-  w.field("bits_rev", r.bits_rev);
-  w.field("bytes_fwd", r.bytes_fwd);
-  w.field("bytes_rev", r.bytes_rev);
-  w.field("msgs_fwd", r.msgs_fwd);
-  w.field("msgs_rev", r.msgs_rev);
-  w.field("elems_sent", r.elems_sent);
-  w.field("elems_applied", r.elems_applied);
-  w.field("elems_redundant", r.elems_redundant);
-  w.field("elems_straggler", r.elems_straggler);
-  w.field("elems_after_halt", r.elems_after_halt);
-  w.field("skip_msgs", r.skip_msgs);
-  w.field("segments_skipped", r.segments_skipped);
-  w.field("ack_msgs", r.ack_msgs);
-  w.field("duration", r.duration);
-  w.field("receiver_done_at", r.receiver_done_at);
-  w.end_object();
-}
-
-std::string sync_report_to_json(const vv::SyncReport& r, vv::VectorKind kind,
-                                const CostModel& cm, Registry* bound_sink) {
-  const bool ok = within_table2_bound(cm, kind, r);
-  if (!ok && bound_sink != nullptr) bound_sink->counter("obs.bound_violations").inc();
-  JsonWriter w;
-  w.begin_object();
-  w.field("kind", vv::to_string(kind));
-  w.key("report");
-  write_sync_report(w, r);
-  w.field("table2_upper_bound_bits", table2_upper_bound_bits(cm, kind));
-  w.field("within_table2_bound", ok);
-  w.end_object();
-  return w.take();
-}
-
-std::string sync_report_csv_header() {
-  return CsvRow()
-      .add("relation")
-      .add("bits_fwd")
-      .add("bits_rev")
-      .add("bytes_fwd")
-      .add("bytes_rev")
-      .add("msgs_fwd")
-      .add("msgs_rev")
-      .add("elems_sent")
-      .add("elems_applied")
-      .add("elems_redundant")
-      .add("elems_straggler")
-      .add("elems_after_halt")
-      .add("skip_msgs")
-      .add("segments_skipped")
-      .add("ack_msgs")
-      .add("duration")
-      .str();
-}
-
-std::string sync_report_csv_row(const vv::SyncReport& r) {
-  return CsvRow()
-      .add(vv::to_string(r.initial_relation))
-      .add(r.bits_fwd)
-      .add(r.bits_rev)
-      .add(r.bytes_fwd)
-      .add(r.bytes_rev)
-      .add(r.msgs_fwd)
-      .add(r.msgs_rev)
-      .add(r.elems_sent)
-      .add(r.elems_applied)
-      .add(r.elems_redundant)
-      .add(r.elems_straggler)
-      .add(r.elems_after_halt)
-      .add(r.skip_msgs)
-      .add(r.segments_skipped)
-      .add(r.ack_msgs)
-      .add(r.duration, 9)
-      .str();
-}
-
 }  // namespace optrep::obs

@@ -1,7 +1,7 @@
 // Machine-readable serialization of observability state: a small
 // deterministic JSON writer, CSV row builder, and exporters for metric
-// snapshots, trace slices and SyncReports. These replace the hand-rolled
-// printf emitters that used to live in the CLI and benches.
+// snapshots and trace slices. These replace the hand-rolled printf emitters
+// that used to live in the CLI and benches.
 //
 // Determinism contract (what makes exported artifacts diffable in CI): all
 // registry iteration is name-sorted, all numbers are formatted with fixed
@@ -16,10 +16,8 @@
 #include <string>
 #include <string_view>
 
-#include "common/cost_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "vv/session.h"
 
 namespace optrep::obs {
 
@@ -107,28 +105,5 @@ std::string trace_to_json(const Tracer& t);
 // "fault" when `with_fault` (optrep.flight/v1).
 std::string append_trace_events(std::string doc, const Ring<TraceEvent>& events,
                                 bool with_fault);
-std::string trace_to_csv(const Tracer& t);
-
-// ---------------------------------------------------------------------------
-// SyncReport
-// ---------------------------------------------------------------------------
-
-// Does the session's measured traffic respect the Table 2 upper bound for
-// this vector kind? (Meaningful for kIdeal runs; pipelined sessions may
-// legitimately overshoot by up to β = bandwidth·rtt, §3.1.)
-bool within_table2_bound(const CostModel& cm, vv::VectorKind kind,
-                         const vv::SyncReport& r);
-std::uint64_t table2_upper_bound_bits(const CostModel& cm, vv::VectorKind kind);
-
-void write_sync_report(JsonWriter& w, const vv::SyncReport& r);
-// Exports the report and cross-checks it against the Table 2 bound; when the
-// bound is exceeded the report says so ("within_table2_bound":false) and, if
-// a registry is supplied, its "obs.bound_violations" counter advances — a
-// session can never exceed the paper's bound silently.
-std::string sync_report_to_json(const vv::SyncReport& r, vv::VectorKind kind,
-                                const CostModel& cm, Registry* bound_sink = nullptr);
-
-std::string sync_report_csv_header();
-std::string sync_report_csv_row(const vv::SyncReport& r);
 
 }  // namespace optrep::obs

@@ -17,7 +17,6 @@
 
 #include "common/ids.h"
 #include "obs/ring.h"
-#include "sim/event_loop.h"
 
 namespace optrep::obs {
 
@@ -54,7 +53,7 @@ enum class FlightFault : std::uint8_t {
 std::string_view to_string(FlightFault f);
 
 struct TraceEvent {
-  sim::Time at{0};           // simulated time of the occurrence
+  double at{0};              // simulated time of the occurrence
   std::uint64_t session{0};  // session id (0 = outside any session)
   TraceEventType type{TraceEventType::kElemSent};
   bool forward{true};        // pertains to the sender→receiver direction

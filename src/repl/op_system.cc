@@ -119,9 +119,10 @@ OpSyncOutcome OpSystem::sync(SiteId dst, SiteId src, ObjectId obj) {
 
   totals_.sessions += 1;
   totals_.bits += out.report.total_bits();
-  totals_.bytes += out.report.bytes_fwd + out.report.bytes_rev;
-  totals_.frames += out.report.frames_fwd + out.report.frames_rev;
-  totals_.framed_bytes += out.report.framed_bytes_fwd + out.report.framed_bytes_rev;
+  totals_.bytes += out.report.fwd.wire_bytes + out.report.rev.wire_bytes;
+  totals_.frames += out.report.fwd.frames + out.report.rev.frames;
+  totals_.framed_bytes +=
+      out.report.fwd.framed_wire_bytes + out.report.rev.framed_wire_bytes;
   totals_.nodes_sent += out.report.nodes_sent;
   totals_.nodes_redundant += out.report.nodes_redundant;
   totals_.op_bytes += out.report.op_bytes_shipped;

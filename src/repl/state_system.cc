@@ -134,7 +134,7 @@ SyncOutcome StateSystem::sync_pair(StateReplica& receiver, StateReplica& sender,
 void StateSystem::finish_session(const SyncOutcome& out) {
   vsync_.account(out.report, totals_, metrics_, loop_.now());
   totals_.bytes += out.report.total_bytes();
-  totals_.msgs += out.report.msgs_fwd + out.report.msgs_rev;
+  totals_.msgs += out.report.fwd.messages + out.report.rev.messages;
   totals_.frames += out.report.total_frames();
   totals_.framed_bytes += out.report.total_framed_bytes();
   totals_.payload_bytes += out.payload_bytes;

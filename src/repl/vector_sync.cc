@@ -1,6 +1,5 @@
 #include "repl/vector_sync.h"
 
-#include "obs/export.h"
 #include "sim/fault_link.h"
 
 namespace optrep::repl {
@@ -47,7 +46,7 @@ void VectorSync::account(const vv::SyncReport& r, SyncTotals& t, obs::Registry& 
   t.recovery_bits += r.recovery_bits;
   if (!r.converged) ++t.sync_failures;
   if (!base_.net.faults.enabled() &&
-      !obs::within_table2_bound(base_.cost, base_.kind, r)) {
+      !vv::within_table2_bound(base_.cost, base_.kind, r)) {
     ++t.bound_violations;
     metrics.counter("obs.bound_violations").inc();
     if (base_.recorder != nullptr) base_.recorder->trigger("table2_bound_violation", now);

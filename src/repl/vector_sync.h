@@ -97,8 +97,8 @@ class VectorSync {
       out.merged = out.report.converged;
     }
     // The COMPARE probes are part of every session's traffic.
-    out.report.bits_fwd += vv::compare_cost_bits(base_.cost) / 2;
-    out.report.bits_rev += vv::compare_cost_bits(base_.cost) / 2;
+    out.report.fwd.model_bits += vv::compare_cost_bits(base_.cost) / 2;
+    out.report.rev.model_bits += vv::compare_cost_bits(base_.cost) / 2;
     return out;
   }
 

@@ -57,12 +57,23 @@
 
 namespace optrep::sim {
 
+// One direction's traffic: what a link carried, and what a session report
+// (vv::SyncReport, graph::GraphSyncReport) says each direction carried.
 struct LinkStats {
   std::uint64_t messages{0};
   std::uint64_t model_bits{0};   // §3.3 cost-model size
   std::uint64_t wire_bytes{0};   // realistic byte-aligned encoding
   std::uint64_t frames{0};       // coalesced wire frames (== messages unframed)
   std::uint64_t framed_wire_bytes{0};  // realistic bytes under frame batching
+
+  LinkStats& operator+=(const LinkStats& o) {
+    messages += o.messages;
+    model_bits += o.model_bits;
+    wire_bytes += o.wire_bytes;
+    frames += o.frames;
+    framed_wire_bytes += o.framed_wire_bytes;
+    return *this;
+  }
 };
 
 struct NetConfig {

@@ -275,15 +275,15 @@ void ScenarioWorld::accumulate(const vv::SyncReport& r) {
   ++totals_.sessions;
   totals_.bits += r.total_bits();
   totals_.wire_bytes += r.total_bytes();
-  totals_.msgs += r.msgs_fwd + r.msgs_rev;
+  totals_.msgs += r.fwd.messages + r.rev.messages;
   totals_.elems_applied += r.elems_applied;
 }
 
 void ScenarioWorld::accumulate(const graph::GraphSyncReport& r) {
   ++totals_.sessions;
   totals_.bits += r.total_bits();
-  totals_.wire_bytes += r.bytes_fwd + r.bytes_rev;
-  totals_.msgs += r.msgs_fwd + r.msgs_rev;
+  totals_.wire_bytes += r.fwd.wire_bytes + r.rev.wire_bytes;
+  totals_.msgs += r.fwd.messages + r.rev.messages;
   totals_.nodes_applied += r.nodes_new;
 }
 
@@ -368,6 +368,7 @@ void ScenarioWorld::refresh_eq(std::uint32_t s) {
 std::uint64_t ScenarioWorld::replica_memory_bytes() const {
   std::uint64_t total = 0;
   for (const auto& r : replicas_) total += r.memory_bytes();
+  for (const auto& g : graphs_) total += g.memory_bytes();
   return total;
 }
 

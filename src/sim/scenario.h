@@ -154,7 +154,8 @@ class ScenarioWorld {
   const obs::Registry& metrics() const { return metrics_; }
 
   const vv::Arena::Stats& arena_stats() const { return arena_.stats(); }
-  // Σ RotatingVector::memory_bytes over all replicas (0 for syncg). O(n).
+  // Σ memory_bytes over all replicas: rotating vectors, or causal graphs
+  // for syncg. O(n).
   std::uint64_t replica_memory_bytes() const;
 
   // Refresh the cheap (O(1)) instruments: scenario.* counters/gauges and the

@@ -60,6 +60,22 @@ std::uint64_t msg_wire_bytes(VectorKind kind, const VvMsg& m) {
   return 0;
 }
 
+std::uint64_t table2_upper_bound_bits(const CostModel& cm, VectorKind kind) {
+  switch (kind) {
+    case VectorKind::kBrv: return cm.brv_upper_bound_bits();
+    case VectorKind::kCrv: return cm.crv_upper_bound_bits();
+    case VectorKind::kSrv: return cm.srv_upper_bound_bits();
+  }
+  return 0;
+}
+
+bool within_table2_bound(const CostModel& cm, VectorKind kind, const SyncReport& r) {
+  // The COMPARE probes are a separate protocol with their own 2·log(mn)
+  // budget (§3.3); sessions fold them into the traffic totals, so the check
+  // allows for them on top of the Table 2 synchronization bound.
+  return r.total_bits() <= table2_upper_bound_bits(cm, kind) + compare_cost_bits(cm);
+}
+
 std::string VvMsg::to_string() const {
   switch (kind) {
     case Kind::kElem: {
@@ -105,10 +121,10 @@ obs::TraceEventType wire_event_type(const VvMsg& m) {
 void publish_session_metrics(obs::Registry* reg, const SyncReport& r) {
   if (reg == nullptr) return;
   reg->counter("vv.sessions").inc();
-  reg->counter("vv.bits_fwd").inc(r.bits_fwd);
-  reg->counter("vv.bits_rev").inc(r.bits_rev);
+  reg->counter("vv.bits_fwd").inc(r.fwd.model_bits);
+  reg->counter("vv.bits_rev").inc(r.rev.model_bits);
   reg->counter("vv.bytes").inc(r.total_bytes());
-  reg->counter("vv.msgs").inc(r.msgs_fwd + r.msgs_rev);
+  reg->counter("vv.msgs").inc(r.fwd.messages + r.rev.messages);
   reg->counter("vv.elems_sent").inc(r.elems_sent);
   reg->counter("vv.elems_applied").inc(r.elems_applied);
   reg->counter("vv.elems_redundant").inc(r.elems_redundant);
@@ -373,15 +389,13 @@ struct SessionWiring {
   }
 
   // Close any open frames (end of session is a flush point) and harvest the
-  // framing figures, the event-loop dispatch count, and the fault statistics
-  // into the report.
-  void harvest_framing(std::uint64_t events_before, SyncReport& r) {
+  // two links' traffic, the event-loop dispatch count, and the fault
+  // statistics into the report.
+  void harvest_links(std::uint64_t events_before, SyncReport& r) {
     duplex.b_to_a().close_frame();
     duplex.a_to_b().close_frame();
-    r.frames_fwd = duplex.b_to_a().stats().frames;
-    r.frames_rev = duplex.a_to_b().stats().frames;
-    r.framed_bytes_fwd = duplex.b_to_a().stats().framed_wire_bytes;
-    r.framed_bytes_rev = duplex.a_to_b().stats().framed_wire_bytes;
+    r.fwd = duplex.b_to_a().stats();
+    r.rev = duplex.a_to_b().stats();
     r.loop_events = loop_->executed_events() - events_before;
     if (inj_fwd.has_value()) {
       r.faults_dropped = inj_fwd->stats().dropped + inj_rev->stats().dropped;
@@ -405,6 +419,17 @@ struct SessionWiring {
   std::optional<sim::FaultInjector<VvMsg>> inj_fwd;
   std::optional<sim::FaultInjector<VvMsg>> inj_rev;
 };
+
+// A session that ran COMPARE charges one probe each way: half the COMPARE
+// bits, one plain element's bytes and one message per direction.
+void charge_compare(SyncReport& r, std::uint64_t compare_bits) {
+  if (compare_bits == 0) return;
+  for (sim::LinkStats* dir : {&r.fwd, &r.rev}) {
+    dir->model_bits += compare_bits / 2;
+    dir->wire_bytes += wire_bytes_elem(false);
+    dir->messages += 1;
+  }
+}
 
 // The one session runner: drives a sender core and a receiver core over a
 // fresh framed duplex until the loop quiesces, then builds the report.
@@ -431,19 +456,9 @@ SyncReport run_session(sim::EventLoop& loop, const SyncOptions& opt, SpanParent 
     // next attempt and for future sessions.
     receiver.abort();
   }
-  // A session that ran COMPARE charges one probe each way.
-  const bool probed = compare_bits > 0;
-  const sim::LinkStats& fwd = w.duplex.b_to_a().stats();
-  const sim::LinkStats& rev = w.duplex.a_to_b().stats();
   const protocol::ReceiverCounters& rc = receiver.core().counters();
   SyncReport r;
   r.initial_relation = rel;
-  r.bits_fwd = fwd.model_bits + compare_bits / 2;
-  r.bits_rev = rev.model_bits + compare_bits / 2;
-  r.bytes_fwd = fwd.wire_bytes + (probed ? wire_bytes_elem(false) : 0);
-  r.bytes_rev = rev.wire_bytes + (probed ? wire_bytes_elem(false) : 0);
-  r.msgs_fwd = fwd.messages + (probed ? 1 : 0);
-  r.msgs_rev = rev.messages + (probed ? 1 : 0);
   r.elems_sent = sender.core().elems_sent();
   r.elems_applied = rc.applied;
   r.elems_redundant = rc.redundant;
@@ -455,7 +470,8 @@ SyncReport run_session(sim::EventLoop& loop, const SyncOptions& opt, SpanParent 
   r.duration = t_end - t0;
   r.receiver_done_at = receiver.done_at() > t0 ? receiver.done_at() - t0 : 0;
   r.protocol_violations = sender.core().violations() + rc.violations;
-  w.harvest_framing(ev0, r);
+  w.harvest_links(ev0, r);
+  charge_compare(r, compare_bits);
   w.trace_boundary(obs::TraceEventType::kSessionEnd, r.total_bits());
   if (w.causal != nullptr) {
     // `ok` = the receiver reached clean protocol quiescence (always true
@@ -548,16 +564,8 @@ namespace {
 // total. Retry attempts additionally charge recovery_bits.
 void accumulate_attempt(SyncReport& total, const SyncReport& r, bool retry_attempt,
                         sim::Time attempt_offset) {
-  total.bits_fwd += r.bits_fwd;
-  total.bits_rev += r.bits_rev;
-  total.bytes_fwd += r.bytes_fwd;
-  total.bytes_rev += r.bytes_rev;
-  total.msgs_fwd += r.msgs_fwd;
-  total.msgs_rev += r.msgs_rev;
-  total.frames_fwd += r.frames_fwd;
-  total.frames_rev += r.frames_rev;
-  total.framed_bytes_fwd += r.framed_bytes_fwd;
-  total.framed_bytes_rev += r.framed_bytes_rev;
+  total.fwd += r.fwd;
+  total.rev += r.rev;
   total.loop_events += r.loop_events;
   total.elems_sent += r.elems_sent;
   total.elems_applied += r.elems_applied;
@@ -640,14 +648,7 @@ SyncReport sync_with_recovery(sim::EventLoop& loop, RotatingVector& a, const Rot
         a = original;  // discard partial progress (halt-rule safety, above)
       }
     }
-    total.bits_fwd += cb / 2;
-    total.bits_rev += cb / 2;
-    if (cb > 0) {
-      total.bytes_fwd += wire_bytes_elem(false);
-      total.bytes_rev += wire_bytes_elem(false);
-      total.msgs_fwd += 1;
-      total.msgs_rev += 1;
-    }
+    charge_compare(total, cb);
     if (converged) break;
     if (opt.kind == VectorKind::kBrv && rel0 == Ordering::kConcurrent && runs > 0) {
       break;  // SYNCB cannot reconcile ‖ (Alg 2 precondition): best effort only

@@ -96,25 +96,15 @@ struct SyncOptions {
 struct SyncReport {
   Ordering initial_relation{Ordering::kEqual};
 
-  // Traffic (sender→receiver and receiver→sender), in §3.3 model bits and in
-  // byte-aligned realistic encoding. Includes COMPARE probes if the session
-  // ran COMPARE; excludes nothing else.
-  std::uint64_t bits_fwd{0};
-  std::uint64_t bits_rev{0};
-  std::uint64_t bytes_fwd{0};
-  std::uint64_t bytes_rev{0};
-  std::uint64_t msgs_fwd{0};
-  std::uint64_t msgs_rev{0};
-
-  // Frame batching (sim::FrameLink, opt.net.frame_budget): coalesced wire
-  // frames and their delta-varint byte totals (vv/frame_codec.h), plus the
-  // event-loop dispatches the session executed. With frame_budget == 0 every
-  // message is its own frame. Model-bit fields above are identical with
-  // framing on or off.
-  std::uint64_t frames_fwd{0};
-  std::uint64_t frames_rev{0};
-  std::uint64_t framed_bytes_fwd{0};
-  std::uint64_t framed_bytes_rev{0};
+  // Traffic per direction (fwd: sender→receiver, rev: receiver→sender), as
+  // the session's links counted it: §3.3 model bits, byte-aligned realistic
+  // bytes, messages, and the coalesced frames with their delta-varint bytes
+  // (vv/frame_codec.h; with frame_budget == 0 every message is its own
+  // frame, and model bits are identical with framing on or off). bits, bytes
+  // and messages include the COMPARE probes if the session ran COMPARE;
+  // frames never carry them. loop_events counts the event-loop dispatches.
+  sim::LinkStats fwd;
+  sim::LinkStats rev;
   std::uint64_t loop_events{0};
 
   // Element accounting at the receiver.
@@ -155,14 +145,25 @@ struct SyncReport {
   // delivery's latency/bits/retries to the hop that carried it.
   std::uint64_t causal_span{0};
 
-  std::uint64_t total_bits() const { return bits_fwd + bits_rev; }
-  std::uint64_t total_bytes() const { return bytes_fwd + bytes_rev; }
-  std::uint64_t total_frames() const { return frames_fwd + frames_rev; }
-  std::uint64_t total_framed_bytes() const { return framed_bytes_fwd + framed_bytes_rev; }
+  std::uint64_t total_bits() const { return fwd.model_bits + rev.model_bits; }
+  std::uint64_t total_bytes() const { return fwd.wire_bytes + rev.wire_bytes; }
+  std::uint64_t total_frames() const { return fwd.frames + rev.frames; }
+  std::uint64_t total_framed_bytes() const {
+    return fwd.framed_wire_bytes + rev.framed_wire_bytes;
+  }
   std::uint64_t total_faults() const {
     return faults_dropped + faults_duplicated + faults_reordered + faults_corrupted;
   }
 };
+
+// The Table 2 upper bound on one session's bits for this vector kind.
+std::uint64_t table2_upper_bound_bits(const CostModel& cm, VectorKind kind);
+
+// Does the session's measured traffic respect the Table 2 bound for this
+// kind, plus the COMPARE probes sessions fold into their totals? Meaningful
+// for kIdeal runs: pipelined sessions may overshoot by up to β =
+// bandwidth·rtt (§3.1), and stop-and-wait acks are not in the bound.
+bool within_table2_bound(const CostModel& cm, VectorKind kind, const SyncReport& r);
 
 // SYNCB_b(a) — Algorithm 2. Requires a ∦ b (checked). After the call a's
 // values equal max(a[i], b[i]): a becomes b when a ≺ b, stays a otherwise

@@ -67,6 +67,38 @@ void write_faults(obs::JsonWriter& w, const sim::NetConfig& net, std::uint64_t r
 
 }  // namespace
 
+std::string sync_report_to_json(const vv::SyncReport& r, vv::VectorKind kind,
+                                const CostModel& cm, obs::Registry* bound_sink) {
+  const bool ok = vv::within_table2_bound(cm, kind, r);
+  if (!ok && bound_sink != nullptr) bound_sink->counter("obs.bound_violations").inc();
+  obs::JsonWriter w;
+  w.begin_object();
+  w.field("kind", vv::to_string(kind));
+  w.key("report").begin_object();
+  w.field("initial_relation", vv::to_string(r.initial_relation));
+  w.field("bits_fwd", r.fwd.model_bits);
+  w.field("bits_rev", r.rev.model_bits);
+  w.field("bytes_fwd", r.fwd.wire_bytes);
+  w.field("bytes_rev", r.rev.wire_bytes);
+  w.field("msgs_fwd", r.fwd.messages);
+  w.field("msgs_rev", r.rev.messages);
+  w.field("elems_sent", r.elems_sent);
+  w.field("elems_applied", r.elems_applied);
+  w.field("elems_redundant", r.elems_redundant);
+  w.field("elems_straggler", r.elems_straggler);
+  w.field("elems_after_halt", r.elems_after_halt);
+  w.field("skip_msgs", r.skip_msgs);
+  w.field("segments_skipped", r.segments_skipped);
+  w.field("ack_msgs", r.ack_msgs);
+  w.field("duration", r.duration);
+  w.field("receiver_done_at", r.receiver_done_at);
+  w.end_object();
+  w.field("table2_upper_bound_bits", vv::table2_upper_bound_bits(cm, kind));
+  w.field("within_table2_bound", ok);
+  w.end_object();
+  return w.take();
+}
+
 std::string state_run_report_json(const repl::StateSystem& sys, const Trace& trace,
                                   const RunStats& stats) {
   const auto& cfg = sys.config();
@@ -94,7 +126,7 @@ std::string state_run_report_json(const repl::StateSystem& sys, const Trace& tra
   w.field("reconciliations", t.reconciliations);
   w.end_object();
   w.key("table2").begin_object();
-  w.field("upper_bound_bits_per_session", obs::table2_upper_bound_bits(cfg.cost, cfg.kind));
+  w.field("upper_bound_bits_per_session", vv::table2_upper_bound_bits(cfg.cost, cfg.kind));
   w.field("bound_violations", t.bound_violations);
   w.end_object();
   const repl::StateSystem::MemoryStats mem = sys.memory_stats();
@@ -167,7 +199,7 @@ std::string records_run_report_json(const repl::RecordSystem& sys,
   w.field("flagged_records", t.flagged_records);
   w.end_object();
   w.key("table2").begin_object();
-  w.field("upper_bound_bits_per_session", obs::table2_upper_bound_bits(cfg.cost, cfg.kind));
+  w.field("upper_bound_bits_per_session", vv::table2_upper_bound_bits(cfg.cost, cfg.kind));
   w.field("bound_violations", t.bound_violations);
   w.end_object();
   write_faults(w, cfg.net, t.retries, t.sync_failures, t.faults_injected, t.recovery_bits);

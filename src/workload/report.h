@@ -2,7 +2,7 @@
 // docs/OBSERVABILITY.md): one JSON document per workload run, carrying the
 // workload tags (scenario, seed, topology), driver statistics, system totals
 // — including γ/|Δ| accounting and Table 2 bound checks — and the system's
-// full metrics registry.
+// full metrics registry. Also the JSON of a single session's SyncReport.
 //
 // The CLI and the determinism tests share these builders, so "two same-seed
 // runs export byte-identical JSON" is a property of one function, not of two
@@ -17,6 +17,14 @@
 #include "workload/trace.h"
 
 namespace optrep::wl {
+
+// One session's report, cross-checked against the Table 2 bound for `kind`
+// (vv::within_table2_bound): when the bound is exceeded the document says so
+// ("within_table2_bound":false) and, if a registry is supplied, its
+// "obs.bound_violations" counter advances — a session can never exceed the
+// paper's bound silently.
+std::string sync_report_to_json(const vv::SyncReport& r, vv::VectorKind kind,
+                                const CostModel& cm, obs::Registry* bound_sink = nullptr);
 
 std::string state_run_report_json(const repl::StateSystem& sys, const Trace& trace,
                                   const RunStats& stats);

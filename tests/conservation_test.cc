@@ -67,13 +67,13 @@ TEST_P(Conservation, ElementAccountingBalances) {
       // (3) Forward traffic decomposes into elements + control markers.
       const CostModel cm = opt.cost;
       const std::uint64_t elem_bits = rep.elems_sent * cm.elem_bits(2);
-      ASSERT_GE(rep.bits_fwd, elem_bits);
-      ASSERT_LE(rep.bits_fwd, elem_bits + 2 * (rep.segments_skipped + 1));
+      ASSERT_GE(rep.fwd.model_bits, elem_bits);
+      ASSERT_LE(rep.fwd.model_bits, elem_bits + 2 * (rep.segments_skipped + 1));
 
       // (4) Messages: forward = elements + SKIPPED markers + at most one
       //     HALT; reverse = skips + acks + at most one HALT.
-      ASSERT_LE(rep.msgs_fwd, rep.elems_sent + rep.segments_skipped + 1);
-      ASSERT_LE(rep.msgs_rev, rep.skip_msgs + rep.ack_msgs + 1);
+      ASSERT_LE(rep.fwd.messages, rep.elems_sent + rep.segments_skipped + 1);
+      ASSERT_LE(rep.rev.messages, rep.skip_msgs + rep.ack_msgs + 1);
 
       // (5) Time: the receiver finishes no later than session quiescence.
       ASSERT_LE(rep.receiver_done_at, rep.duration + 1e-12);

@@ -46,12 +46,12 @@ VecPair make_pair(Rng& rng, std::uint32_t n_sites, std::uint32_t shared,
 
 void expect_reports_identical(const SyncReport& unframed, const SyncReport& framed) {
   EXPECT_EQ(unframed.initial_relation, framed.initial_relation);
-  EXPECT_EQ(unframed.bits_fwd, framed.bits_fwd);
-  EXPECT_EQ(unframed.bits_rev, framed.bits_rev);
-  EXPECT_EQ(unframed.bytes_fwd, framed.bytes_fwd);
-  EXPECT_EQ(unframed.bytes_rev, framed.bytes_rev);
-  EXPECT_EQ(unframed.msgs_fwd, framed.msgs_fwd);
-  EXPECT_EQ(unframed.msgs_rev, framed.msgs_rev);
+  EXPECT_EQ(unframed.fwd.model_bits, framed.fwd.model_bits);
+  EXPECT_EQ(unframed.rev.model_bits, framed.rev.model_bits);
+  EXPECT_EQ(unframed.fwd.wire_bytes, framed.fwd.wire_bytes);
+  EXPECT_EQ(unframed.rev.wire_bytes, framed.rev.wire_bytes);
+  EXPECT_EQ(unframed.fwd.messages, framed.fwd.messages);
+  EXPECT_EQ(unframed.rev.messages, framed.rev.messages);
   EXPECT_EQ(unframed.elems_sent, framed.elems_sent);
   EXPECT_EQ(unframed.elems_applied, framed.elems_applied);
   EXPECT_EQ(unframed.elems_redundant, framed.elems_redundant);
@@ -112,7 +112,7 @@ TEST(FrameSession, ReportsAndStatesBitIdenticalAcrossBudgets) {
           // Framing only batches: fewer-or-equal frames and dispatches, and
           // the realistic framed bytes never exceed the unframed encoding.
           EXPECT_LE(r1.total_frames(), r0.total_frames());
-          EXPECT_LE(r1.total_framed_bytes(), r0.bytes_fwd + r0.bytes_rev);
+          EXPECT_LE(r1.total_framed_bytes(), r0.fwd.wire_bytes + r0.rev.wire_bytes);
           EXPECT_LE(r1.loop_events, r0.loop_events);
         }
       }

@@ -50,12 +50,12 @@ std::string report_line(const std::string& tag, const GraphSyncReport& r,
                 "%s %d %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu "
                 "%llu %llu %llu %llu %llu %zu %llu %.17g %zu %llu",
                 tag.c_str(), static_cast<int>(r.initial_relation),
-                (unsigned long long)r.bits_fwd, (unsigned long long)r.bits_rev,
-                (unsigned long long)r.bytes_fwd, (unsigned long long)r.bytes_rev,
-                (unsigned long long)r.msgs_fwd, (unsigned long long)r.msgs_rev,
-                (unsigned long long)r.frames_fwd, (unsigned long long)r.frames_rev,
-                (unsigned long long)r.framed_bytes_fwd,
-                (unsigned long long)r.framed_bytes_rev,
+                (unsigned long long)r.fwd.model_bits, (unsigned long long)r.rev.model_bits,
+                (unsigned long long)r.fwd.wire_bytes, (unsigned long long)r.rev.wire_bytes,
+                (unsigned long long)r.fwd.messages, (unsigned long long)r.rev.messages,
+                (unsigned long long)r.fwd.frames, (unsigned long long)r.rev.frames,
+                (unsigned long long)r.fwd.framed_wire_bytes,
+                (unsigned long long)r.rev.framed_wire_bytes,
                 (unsigned long long)r.loop_events, (unsigned long long)r.nodes_sent,
                 (unsigned long long)r.nodes_new, (unsigned long long)r.nodes_redundant,
                 (unsigned long long)r.skipto_msgs, (unsigned long long)r.op_bytes_shipped,

@@ -182,15 +182,15 @@ TEST(Export, MetricsJsonAndCsvAreNameSorted) {
 TEST(Export, BoundViolationAdvancesCounterAndIsExplicitInJson) {
   const CostModel cm{.n = 8, .m = 1 << 16};
   vv::SyncReport r;
-  r.bits_fwd = cm.srv_upper_bound_bits() * 10;  // way past the Table 2 bound
+  r.fwd.model_bits = cm.srv_upper_bound_bits() * 10;  // way past the Table 2 bound
   Registry reg;
-  const std::string json = sync_report_to_json(r, vv::VectorKind::kSrv, cm, &reg);
+  const std::string json = wl::sync_report_to_json(r, vv::VectorKind::kSrv, cm, &reg);
   EXPECT_NE(json.find("\"within_table2_bound\":false"), std::string::npos);
   EXPECT_EQ(reg.counter("obs.bound_violations").value(), 1u);
 
   vv::SyncReport ok;
-  ok.bits_fwd = 1;
-  EXPECT_NE(sync_report_to_json(ok, vv::VectorKind::kSrv, cm, &reg)
+  ok.fwd.model_bits = 1;
+  EXPECT_NE(wl::sync_report_to_json(ok, vv::VectorKind::kSrv, cm, &reg)
                 .find("\"within_table2_bound\":true"),
             std::string::npos);
   EXPECT_EQ(reg.counter("obs.bound_violations").value(), 1u);  // unchanged

@@ -67,8 +67,23 @@ TEST(ScenarioWorld, SyncgConvergesAndShipsNodes) {
   EXPECT_GT(stats.totals.nodes_applied, 0u);
   EXPECT_EQ(stats.totals.elems_applied, 0u);
   EXPECT_EQ(stats.totals.reconciliations, 0u);
-  // Graph replicas are heap σ-structures; the arena only backs vv columns.
-  EXPECT_EQ(stats.replica_bytes, 0u);
+  // Graph replicas live on the heap, outside the arena; replica_bytes counts
+  // them (CausalGraph::memory_bytes).
+  EXPECT_GT(stats.replica_bytes, 0u);
+}
+
+// A SYNCG world's footprint is its graphs' node vectors and id indexes: more
+// than 0 bytes once converged, and more again after further updates reach
+// every replica.
+TEST(ScenarioWorld, SyncgReplicaBytesCountGraphsAndGrow) {
+  ScenarioWorld world(small_world_cfg(ScenarioAlgo::kSyncg, 48, 1));
+  const wl::ScenarioStats first = wl::run_scenario(world, parse_ok("converge", 48));
+  ASSERT_TRUE(first.converged);
+  EXPECT_GT(first.replica_bytes, 0u);
+  EXPECT_EQ(first.replica_bytes, world.replica_memory_bytes());
+  const wl::ScenarioStats more = wl::run_scenario(world, parse_ok("warmup:256,quiesce", 48));
+  ASSERT_TRUE(more.converged);
+  EXPECT_GT(more.replica_bytes, first.replica_bytes);
 }
 
 // BRV cannot merge concurrent pairs (§3.1: reconciliation is manual) — a

@@ -48,12 +48,12 @@ std::string report_line(const char* tag, const SyncReport& r) {
                 "%s %d %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu "
                 "%llu %llu %llu %llu %.17g %.17g",
                 tag, static_cast<int>(r.initial_relation),
-                (unsigned long long)r.bits_fwd, (unsigned long long)r.bits_rev,
-                (unsigned long long)r.bytes_fwd, (unsigned long long)r.bytes_rev,
-                (unsigned long long)r.msgs_fwd, (unsigned long long)r.msgs_rev,
-                (unsigned long long)r.frames_fwd, (unsigned long long)r.frames_rev,
-                (unsigned long long)r.framed_bytes_fwd,
-                (unsigned long long)r.framed_bytes_rev,
+                (unsigned long long)r.fwd.model_bits, (unsigned long long)r.rev.model_bits,
+                (unsigned long long)r.fwd.wire_bytes, (unsigned long long)r.rev.wire_bytes,
+                (unsigned long long)r.fwd.messages, (unsigned long long)r.rev.messages,
+                (unsigned long long)r.fwd.frames, (unsigned long long)r.rev.frames,
+                (unsigned long long)r.fwd.framed_wire_bytes,
+                (unsigned long long)r.rev.framed_wire_bytes,
                 (unsigned long long)r.elems_sent, (unsigned long long)r.elems_applied,
                 (unsigned long long)r.elems_redundant,
                 (unsigned long long)r.elems_straggler,

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/flight_recorder.h"
 #include "repl/state_system.h"
+#include "workload/trace.h"
 
 namespace optrep::repl {
 namespace {
@@ -140,6 +144,52 @@ TEST(StateSystem, ThreeSiteConvergence) {
     EXPECT_TRUE(sys.replicas_consistent(kObj)) << to_string(kind);
     EXPECT_TRUE(sys.replica(A, kObj).data.entries.contains("b1"));
   }
+}
+
+// The Table 2 check where it ships (VectorSync::account): one 8-site,
+// 400-step trace run lossless in a given kind and mode, with a flight recorder.
+struct BoundRun {
+  std::uint64_t violations{0};
+  std::uint64_t counter{0};
+  bool triggered{false};
+  std::string reason;
+};
+
+BoundRun run_bound_check(vv::VectorKind kind, vv::TransferMode mode) {
+  obs::FlightRecorder recorder;
+  StateSystem::Config cfg;
+  cfg.n_sites = 8;
+  cfg.kind = kind;
+  cfg.mode = mode;
+  cfg.cost = CostModel{.n = 8, .m = 1 << 16};
+  cfg.recorder = &recorder;
+  StateSystem sys(cfg);
+  wl::GeneratorConfig g;
+  g.n_sites = 8;
+  g.steps = 400;
+  g.seed = 1;
+  wl::run_state(sys, wl::generate(g));
+  return {sys.totals().bound_violations, sys.metrics().counter("obs.bound_violations").value(),
+          recorder.triggered(), recorder.reason()};
+}
+
+// Stop-and-wait ACKs are not in Table 2's bound, so a CRV stop-and-wait run
+// exceeds it: every violation is counted, advances obs.bound_violations, and
+// the first one freezes the flight recorder.
+TEST(StateSystem, Table2ViolationIsCountedAndFreezesRecorder) {
+  const BoundRun r = run_bound_check(vv::VectorKind::kCrv, vv::TransferMode::kStopAndWait);
+  EXPECT_GT(r.violations, 0u);
+  EXPECT_EQ(r.counter, r.violations);
+  EXPECT_TRUE(r.triggered);
+  EXPECT_EQ(r.reason, "table2_bound_violation");
+}
+
+// Control: the same trace in SRV kIdeal mode stays within the bound.
+TEST(StateSystem, Table2BoundHoldsInIdealMode) {
+  const BoundRun r = run_bound_check(vv::VectorKind::kSrv, vv::TransferMode::kIdeal);
+  EXPECT_EQ(r.violations, 0u);
+  EXPECT_EQ(r.counter, 0u);
+  EXPECT_FALSE(r.triggered);
 }
 
 }  // namespace

@@ -103,8 +103,8 @@ TEST(SyncBasic, CommunicationWithinTable2Bound) {
   sim::EventLoop loop;
   auto rep = sync_basic(loop, a, b, opt);
   // Worst case (everything new): n elements + HALT ≤ n·log(2mn)+2.
-  EXPECT_LE(rep.bits_fwd, cm.brv_upper_bound_bits());
-  EXPECT_EQ(rep.bits_fwd, 64 * cm.elem_bits(0) + cm.halt_bits());
+  EXPECT_LE(rep.fwd.model_bits, cm.brv_upper_bound_bits());
+  EXPECT_EQ(rep.fwd.model_bits, 64 * cm.elem_bits(0) + cm.halt_bits());
 }
 
 TEST(SyncBasic, Section32CounterexampleBreaksAfterConcurrentUse) {
@@ -188,8 +188,8 @@ TEST(SyncBasic, ReportTrafficSplitsByDirection) {
   sim::EventLoop loop;
   auto rep = sync_basic(loop, a, b, opt);
   CostModel cm = opt.cost;
-  EXPECT_EQ(rep.bits_fwd, 2 * cm.elem_bits(0) + cm.halt_bits());
-  EXPECT_EQ(rep.bits_rev, 0u);  // ideal mode: acks are free
+  EXPECT_EQ(rep.fwd.model_bits, 2 * cm.elem_bits(0) + cm.halt_bits());
+  EXPECT_EQ(rep.rev.model_bits, 0u);  // ideal mode: acks are free
   EXPECT_EQ(rep.ack_msgs, 2u);
 }
 
@@ -200,8 +200,8 @@ TEST(SyncBasic, ChargesCompareWhenRelationUnknown) {
   sim::EventLoop loop;
   auto rep = sync_basic(loop, a, b, opt);
   const auto probe = opt.cost.compare_probe_bits();
-  EXPECT_EQ(rep.bits_fwd, probe + opt.cost.elem_bits(0) + opt.cost.halt_bits());
-  EXPECT_EQ(rep.bits_rev, probe);
+  EXPECT_EQ(rep.fwd.model_bits, probe + opt.cost.elem_bits(0) + opt.cost.halt_bits());
+  EXPECT_EQ(rep.rev.model_bits, probe);
 }
 
 TEST(SyncBasic, PipelinedOvershootBoundedByBandwidthDelayProduct) {

@@ -62,8 +62,8 @@ TEST(TranscriptCodec, SessionStreamsRoundTripAtReportedSize) {
     const auto rep = sync_skip(loop, a, b, opt);
 
     // Encoded size equals the session's reported model bits.
-    ASSERT_EQ(fwd_bits.bit_size(), rep.bits_fwd) << "trial " << trial;
-    ASSERT_EQ(rev_bits.bit_size(), rep.bits_rev) << "trial " << trial;
+    ASSERT_EQ(fwd_bits.bit_size(), rep.fwd.model_bits) << "trial " << trial;
+    ASSERT_EQ(rev_bits.bit_size(), rep.rev.model_bits) << "trial " << trial;
 
     // The streams decode back to the identical message sequences.
     BitReader fr(fwd_bits.bytes());
